@@ -18,7 +18,9 @@ from .core import (
     CapacityError,
     FiniteMonoid,
     GammaHemiring,
+    SettingError,
     StructureError,
+    gamma_from_hemiring,
     validate_gamma_hemiring,
 )
 from .fuzzy import FuzzySubset, unit_rational
@@ -36,6 +38,10 @@ from .operators import formal_sum_label, LEFT, RIGHT
 
 OK, CHECK_FAILED, INPUT_ERROR, CAPACITY = 0, 1, 2, 3
 
+# Decimal text is read exactly, which builds 10**exponent: bound the exponent
+# so that no input can stall the run.
+MAX_EXPONENT = 1000
+
 
 class InputError(ValueError):
     pass
@@ -44,29 +50,49 @@ class InputError(ValueError):
 # --- file formats ------------------------------------------------------------
 
 
+def _exact(text: str) -> Fraction:
+    """The exact value of p/q or decimal text: 0.1 is 1/10."""
+    _, _, exponent = text.lower().partition("e")
+    if exponent and abs(int(exponent)) > MAX_EXPONENT:
+        raise ValueError(f"exponent {exponent} out of range")
+    return Fraction(text)
+
+
+def _is_table(rows, n_rows: int, n_cols: int) -> bool:
+    """A JSON list of n_rows lists of n_cols entries each."""
+    return (
+        isinstance(rows, list)
+        and len(rows) == n_rows
+        and all(isinstance(row, list) and len(row) == n_cols for row in rows)
+    )
+
+
+def _indices(row: list, index: dict, where: str) -> tuple[int, ...]:
+    for v in row:
+        if not isinstance(v, str) or v not in index:
+            raise InputError(f"unknown label {v!r} in {where}")
+    return tuple(index[v] for v in row)
+
+
 def _monoid_from_doc(doc: dict, what: str, name: str) -> FiniteMonoid:
     try:
-        elements = tuple(doc["elements"])
+        elements = doc["elements"]
         zero_label = doc["zero"]
         add_rows = doc["add"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"{what}: missing field {exc}") from exc
+    # Labels are strings: fuzzy files address elements by JSON object keys.
+    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+        raise InputError(f"{what}: elements must be a list of string labels")
     index = {e: i for i, e in enumerate(elements)}
     if len(index) != len(elements):
         raise InputError(f"{what}: duplicate element labels")
-    if zero_label not in index:
+    if not isinstance(zero_label, str) or zero_label not in index:
         raise InputError(f"{what}: zero label {zero_label!r} not an element")
-    if len(add_rows) != len(elements):
-        raise InputError(f"{what}: addition table must have one row per element")
-    add = []
-    for row in add_rows:
-        if len(row) != len(elements):
-            raise InputError(f"{what}: ragged addition table")
-        try:
-            add.append(tuple(index[v] for v in row))
-        except KeyError as exc:
-            raise InputError(f"{what}: unknown label {exc} in addition table") from exc
-    return FiniteMonoid(elements, index[zero_label], tuple(add), name)
+    if not _is_table(add_rows, len(elements), len(elements)):
+        raise InputError(f"{what}: addition table must be a list of one row per element")
+    add = tuple(_indices(row, index, f"{what} addition table") for row in add_rows)
+    return FiniteMonoid(tuple(elements), index[zero_label], add, name)
 
 
 def structure_from_doc(doc: dict) -> GammaHemiring:
@@ -81,44 +107,43 @@ def structure_from_doc(doc: dict) -> GammaHemiring:
     sindex = {e: i for i, e in enumerate(s.elements)}
     action = []
     for plane in planes:
-        if len(plane) != gam.n or any(len(row) != s.n for row in plane):
+        if not _is_table(plane, gam.n, s.n):
             raise InputError("action table must be |S| x |Gamma| x |S|")
-        try:
-            action.append(tuple(tuple(sindex[v] for v in row) for row in plane))
-        except KeyError as exc:
-            raise InputError(f"unknown S label {exc} in action table") from exc
+        action.append(tuple(_indices(row, sindex, "action table") for row in plane))
     return GammaHemiring(name, s, gam, tuple(action))
 
 
-def structure_to_doc(g: GammaHemiring) -> dict:
-    sl, gl = g.S.elements, g.Gamma.elements
+def _monoid_to_doc(m: FiniteMonoid) -> dict:
+    lab = m.elements
     return {
-        "name": g.name,
-        "S": {
-            "elements": list(sl),
-            "zero": sl[g.S.zero],
-            "add": [[sl[v] for v in row] for row in g.S.add],
-        },
-        "Gamma": {
-            "elements": list(gl),
-            "zero": gl[g.Gamma.zero],
-            "add": [[gl[v] for v in row] for row in g.Gamma.add],
-        },
-        "action": [
-            [[sl[v] for v in row] for row in plane] for plane in g.action
-        ],
+        "elements": list(lab),
+        "zero": lab[m.zero],
+        "add": [[lab[v] for v in row] for row in m.add],
     }
 
 
-def load_structure(path: str) -> GammaHemiring:
+def structure_to_doc(g: GammaHemiring) -> dict:
+    sl = g.S.elements
+    return {
+        "name": g.name,
+        "S": _monoid_to_doc(g.S),
+        "Gamma": _monoid_to_doc(g.Gamma),
+        "action": [[[sl[v] for v in row] for row in plane] for plane in g.action],
+    }
+
+
+def _load_json(path: str, **options):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh, **options)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{path}: malformed JSON: {exc}") from exc
-    return structure_from_doc(doc)
+
+
+def load_structure(path: str) -> GammaHemiring:
+    return structure_from_doc(_load_json(path))
 
 
 def fuzzy_from_doc(doc: dict, ctx: corr.CorrespondenceContext, structure_name: str) -> tuple[str, FuzzySubset]:
@@ -131,7 +156,7 @@ def fuzzy_from_doc(doc: dict, ctx: corr.CorrespondenceContext, structure_name: s
         "R": ctx.r_monoid,
         "SxS": ctx.sxs_monoid,
     }
-    if over not in carriers:
+    if not isinstance(over, str) or over not in carriers:
         raise InputError(f"unknown carrier {over!r} (expected S, L, R or SxS)")
     declared = doc.get("structure")
     if declared is not None and declared != structure_name:
@@ -148,8 +173,8 @@ def fuzzy_from_doc(doc: dict, ctx: corr.CorrespondenceContext, structure_name: s
         if label not in index:
             raise InputError(f"label {label!r} is not an element of {over}")
         try:
-            values[index[label]] = unit_rational(v)
-        except (ValueError, ZeroDivisionError) as exc:
+            values[index[label]] = unit_rational(_exact(v) if isinstance(v, str) else v)
+        except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
             raise InputError(f"bad membership value for {label!r}: {exc}") from exc
     return over, FuzzySubset(carrier, tuple(values))
 
@@ -163,19 +188,12 @@ def fuzzy_to_doc(over: str, structure_name: str, mu: FuzzySubset) -> dict:
 
 
 def load_fuzzy(path: str, ctx: corr.CorrespondenceContext, structure_name: str):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: malformed JSON: {exc}") from exc
-    return fuzzy_from_doc(doc, ctx, structure_name)
+    return fuzzy_from_doc(_load_json(path, parse_float=_exact), ctx, structure_name)
 
 
 def _parse_grid(raw: str) -> tuple[Fraction, ...]:
     try:
-        vals = tuple(unit_rational(part.strip()) for part in raw.split(","))
+        vals = tuple(unit_rational(_exact(part.strip())) for part in raw.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad grid {raw!r}: {exc}") from exc
     if list(vals) != sorted(set(vals)) or Fraction(0) not in vals or Fraction(1) not in vals:
@@ -216,17 +234,6 @@ def _print_side(ctx, g, side: str) -> None:
         print(f"op{k} = {formal_sum_label(g, f)}")
 
 
-def _operator_as_structure(op) -> GammaHemiring:
-    mon = op.monoid()
-    n = op.n
-    mul = op.mul
-    action = tuple(
-        tuple(tuple(mul[mul[a][g]][b] for b in range(n)) for g in range(n))
-        for a in range(n)
-    )
-    return GammaHemiring(mon.name, mon, mon, action)
-
-
 def cmd_operators(args) -> int:
     g = _validated(args.structure)
     ctx = corr.build_context(g)
@@ -235,7 +242,7 @@ def cmd_operators(args) -> int:
         if len(sides) != 1:
             raise InputError("--dump-tables requires --side left or --side right")
         op = ctx.L if sides[0] == LEFT else ctx.R
-        print(json.dumps(structure_to_doc(_operator_as_structure(op)), indent=2))
+        print(json.dumps(structure_to_doc(gamma_from_hemiring(op.hemiring())), indent=2))
         return OK
     for side in sides:
         _print_side(ctx, ctx.G, side)
@@ -371,7 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, StructureError) as exc:
+    except (InputError, StructureError, SettingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except CapacityError as exc:

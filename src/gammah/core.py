@@ -30,11 +30,20 @@ class CapacityError(RuntimeError):
     """A configured size cap would be exceeded."""
 
 
+class SettingError(ValueError):
+    """An environment setting that does not parse."""
+
+
 def _cap(env_name: str, default: int, override: int | None) -> int:
     if override is not None:
         return override
     raw = os.environ.get(env_name, "")
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise SettingError(f"{env_name} must be an integer, not {raw!r}") from None
 
 
 def _memo(obj, key, build):

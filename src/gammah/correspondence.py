@@ -2,12 +2,15 @@
 
 All infima become minima over the finite carriers.  The maps on operator
 elements evaluate on the induced action maps, which makes well-definedness on
-congruence classes automatic.
+congruence classes automatic.  Each left/right pair of maps is one body that
+takes a side tag, "L" or "R"; the paper's names bind that tag.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 from .core import (
     FiniteMonoid,
@@ -17,7 +20,7 @@ from .core import (
     product,
     product_monoid,
 )
-from .fuzzy import FuzzySubset
+from .fuzzy import FuzzySubset, additive_closure_mask
 from .ideals import CrispSubset, crisp_from_mask
 from .operators import (
     LEFT,
@@ -29,7 +32,15 @@ from .operators import (
     find_unity,
     hemiring_as_product_structure,
 )
-from .fuzzy import additive_closure_mask
+
+
+class Side(NamedTuple):
+    """One operator hemiring with its embedding table and carriers."""
+
+    op: OperatorHemiring
+    embed: tuple[tuple[int, ...], ...]  # embed[x][gamma]: index of [x,gamma] or [gamma,x]
+    monoid: FiniteMonoid
+    pair_monoid: FiniteMonoid
 
 
 @dataclass
@@ -54,6 +65,12 @@ class CorrespondenceContext:
     rxr_monoid: FiniteMonoid
     left_embed: tuple[tuple[int, ...], ...] = field(repr=False, default=())
     right_embed: tuple[tuple[int, ...], ...] = field(repr=False, default=())
+
+    def side(self, tag: str) -> Side:
+        """The operator hemiring L or R with its embedding table and carriers."""
+        if tag == "L":
+            return Side(self.L, self.left_embed, self.l_monoid, self.lxl_monoid)
+        return Side(self.R, self.right_embed, self.r_monoid, self.rxr_monoid)
 
 
 def _named(g: GammaHemiring) -> GammaHemiring:
@@ -95,173 +112,106 @@ def build_context(g: GammaHemiring, cap: int | None = None) -> CorrespondenceCon
         sxs_ps=sxs_ps,
         lxl_monoid=product_monoid(lm, lm),
         rxr_monoid=product_monoid(rm, rm),
-        left_embed=tuple(
-            tuple(embed(g, left, x, ga) for ga in range(g.Gamma.n)) for x in range(g.S.n)
-        ),
-        right_embed=tuple(
-            tuple(embed(g, right, x, ga) for ga in range(g.Gamma.n)) for x in range(g.S.n)
-        ),
+        left_embed=_embed_table(g, left),
+        right_embed=_embed_table(g, right),
     )
 
 
-def _expect(mu: FuzzySubset, carrier: FiniteMonoid, what: str) -> None:
-    if mu.carrier != carrier:
-        raise ValueError(f"expected a fuzzy subset over {what}")
+def _embed_table(g: GammaHemiring, op: OperatorHemiring) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(embed(g, op, x, ga) for ga in range(g.Gamma.n)) for x in range(g.S.n))
 
 
-def plus(ctx: CorrespondenceContext, mu: FuzzySubset) -> FuzzySubset:
-    """Over S: x -> min over gamma of mu([x,gamma])."""
-    _expect(mu, ctx.l_monoid, "L")
+def _expect(subset, carrier: FiniteMonoid, what: str) -> None:
+    if subset.carrier != carrier:
+        kind = "fuzzy subset over" if isinstance(subset, FuzzySubset) else "subset of"
+        raise ValueError(f"expected a {kind} {what}")
+
+
+def _fuzzy_down(tag: str, ctx: CorrespondenceContext, mu: FuzzySubset) -> FuzzySubset:
+    """Over S: x -> min over gamma of mu([x,gamma]) (L) or mu([gamma,x]) (R)."""
+    sd = ctx.side(tag)
+    _expect(mu, sd.monoid, tag)
     values = tuple(
-        min(mu.values[ctx.left_embed[x][ga]] for ga in range(ctx.G.Gamma.n))
+        min(mu.values[sd.embed[x][ga]] for ga in range(ctx.G.Gamma.n))
         for x in range(ctx.G.S.n)
     )
     return FuzzySubset(ctx.s_monoid, values)
 
 
-def plus_prime(ctx: CorrespondenceContext, sigma: FuzzySubset) -> FuzzySubset:
-    """Over L: class of f -> min over s of sigma(f(s))."""
+def _fuzzy_up(tag: str, ctx: CorrespondenceContext, sigma: FuzzySubset) -> FuzzySubset:
+    """Over L or R: class of f -> min over s of sigma(f(s))."""
+    sd = ctx.side(tag)
     _expect(sigma, ctx.s_monoid, "S")
     values = tuple(
-        min(sigma.values[m.table[s]] for s in range(ctx.G.S.n)) for m in ctx.L.maps
+        min(sigma.values[m.table[s]] for s in range(ctx.G.S.n)) for m in sd.op.maps
     )
-    return FuzzySubset(ctx.l_monoid, values)
+    return FuzzySubset(sd.monoid, values)
 
 
-def star(ctx: CorrespondenceContext, delta: FuzzySubset) -> FuzzySubset:
-    """Over S: x -> min over gamma of delta([gamma,x])."""
-    _expect(delta, ctx.r_monoid, "R")
-    values = tuple(
-        min(delta.values[ctx.right_embed[x][ga]] for ga in range(ctx.G.Gamma.n))
-        for x in range(ctx.G.S.n)
-    )
-    return FuzzySubset(ctx.s_monoid, values)
-
-
-def star_prime(ctx: CorrespondenceContext, eta: FuzzySubset) -> FuzzySubset:
-    """Over R: class of f -> min over s of eta(f(s))."""
-    _expect(eta, ctx.s_monoid, "S")
-    values = tuple(
-        min(eta.values[m.table[s]] for s in range(ctx.G.S.n)) for m in ctx.R.maps
-    )
-    return FuzzySubset(ctx.r_monoid, values)
-
-
-def crisp_plus(ctx: CorrespondenceContext, p: CrispSubset) -> CrispSubset:
-    """{a in S : [a,gamma] in P for every gamma}."""
-    if p.carrier != ctx.l_monoid:
-        raise ValueError("expected a subset of L")
+def _crisp_down(tag: str, ctx: CorrespondenceContext, p: CrispSubset) -> CrispSubset:
+    """{a in S : [a,gamma] (L) or [gamma,a] (R) lies in P for every gamma}."""
+    sd = ctx.side(tag)
+    _expect(p, sd.monoid, tag)
     mask = 0
     for x in range(ctx.G.S.n):
-        if all(p.members[ctx.left_embed[x][ga]] for ga in range(ctx.G.Gamma.n)):
+        if all(p.members[sd.embed[x][ga]] for ga in range(ctx.G.Gamma.n)):
             mask |= 1 << x
     return crisp_from_mask(ctx.s_monoid, mask)
 
 
-def crisp_star(ctx: CorrespondenceContext, p: CrispSubset) -> CrispSubset:
-    if p.carrier != ctx.r_monoid:
-        raise ValueError("expected a subset of R")
-    mask = 0
-    for x in range(ctx.G.S.n):
-        if all(p.members[ctx.right_embed[x][ga]] for ga in range(ctx.G.Gamma.n)):
-            mask |= 1 << x
-    return crisp_from_mask(ctx.s_monoid, mask)
-
-
-def _image_sum_mask(ctx: CorrespondenceContext, table: tuple[int, ...]) -> int:
-    # All finite sums of values of the map: additive closure of its image.
-    image = 0
-    for v in table:
-        image |= 1 << v
-    return additive_closure_mask(ctx.s_monoid, image)
-
-
-def crisp_plus_prime(ctx: CorrespondenceContext, q: CrispSubset) -> CrispSubset:
-    """{class of f in L : every finite sum of values of f lands in Q}."""
-    if q.carrier != ctx.s_monoid:
-        raise ValueError("expected a subset of S")
+def _crisp_up(tag: str, ctx: CorrespondenceContext, q: CrispSubset) -> CrispSubset:
+    """{class of f : every finite sum of values of f lands in Q}."""
+    sd = ctx.side(tag)
+    _expect(q, ctx.s_monoid, "S")
     qmask = q.mask
     mask = 0
-    for k, m in enumerate(ctx.L.maps):
-        if not _image_sum_mask(ctx, m.table) & ~qmask:
+    for k, m in enumerate(sd.op.maps):
+        # All finite sums of values of the map: additive closure of its image.
+        image = 0
+        for v in m.table:
+            image |= 1 << v
+        if not additive_closure_mask(ctx.s_monoid, image) & ~qmask:
             mask |= 1 << k
-    return crisp_from_mask(ctx.l_monoid, mask)
+    return crisp_from_mask(sd.monoid, mask)
 
 
-def crisp_star_prime(ctx: CorrespondenceContext, q: CrispSubset) -> CrispSubset:
-    if q.carrier != ctx.s_monoid:
-        raise ValueError("expected a subset of S")
-    qmask = q.mask
-    mask = 0
-    for k, m in enumerate(ctx.R.maps):
-        if not _image_sum_mask(ctx, m.table) & ~qmask:
-            mask |= 1 << k
-    return crisp_from_mask(ctx.r_monoid, mask)
+def _product_down(tag: str, ctx: CorrespondenceContext, phi: FuzzySubset) -> FuzzySubset:
+    """Over SxS: (x,y) -> min over (alpha,beta) of phi at the embeddings of (x,alpha), (y,beta)."""
+    sd = ctx.side(tag)
+    _expect(phi, sd.pair_monoid, f"{tag}x{tag}")
+    ns, ng, n, emb = ctx.G.S.n, ctx.G.Gamma.n, sd.op.n, sd.embed
+    values = tuple(
+        min(phi.values[emb[x][a] * n + emb[y][b]] for a in range(ng) for b in range(ng))
+        for x in range(ns)
+        for y in range(ns)
+    )
+    return FuzzySubset(ctx.sxs_monoid, values)
 
 
-def product_plus(ctx: CorrespondenceContext, phi: FuzzySubset) -> FuzzySubset:
-    """Over SxS: (x,y) -> min over (alpha,beta) of phi([x,alpha],[y,beta])."""
-    _expect(phi, ctx.lxl_monoid, "LxL")
-    ns, ng, nl = ctx.G.S.n, ctx.G.Gamma.n, ctx.L.n
-    values = []
-    for x in range(ns):
-        for y in range(ns):
-            values.append(
-                min(
-                    phi.values[ctx.left_embed[x][a] * nl + ctx.left_embed[y][b]]
-                    for a in range(ng)
-                    for b in range(ng)
-                )
-            )
-    return FuzzySubset(ctx.sxs_monoid, tuple(values))
-
-
-def product_star(ctx: CorrespondenceContext, phi: FuzzySubset) -> FuzzySubset:
-    """Over SxS: (x,y) -> min over (alpha,beta) of phi([alpha,x],[beta,y])."""
-    _expect(phi, ctx.rxr_monoid, "RxR")
-    ns, ng, nr = ctx.G.S.n, ctx.G.Gamma.n, ctx.R.n
-    values = []
-    for x in range(ns):
-        for y in range(ns):
-            values.append(
-                min(
-                    phi.values[ctx.right_embed[x][a] * nr + ctx.right_embed[y][b]]
-                    for a in range(ng)
-                    for b in range(ng)
-                )
-            )
-    return FuzzySubset(ctx.sxs_monoid, tuple(values))
-
-
-def product_plus_prime(ctx: CorrespondenceContext, phi: FuzzySubset) -> FuzzySubset:
-    """Over LxL: (f,g) -> min over independent (s1,s2) of phi(f(s1), g(s2))."""
-    _expect(phi, ctx.sxs_monoid, "SxS")
-    ns, nl = ctx.G.S.n, ctx.L.n
-    values = []
-    for m1 in ctx.L.maps:
-        for m2 in ctx.L.maps:
-            values.append(
-                min(
-                    phi.values[m1.table[s1] * ns + m2.table[s2]]
-                    for s1 in range(ns)
-                    for s2 in range(ns)
-                )
-            )
-    return FuzzySubset(ctx.lxl_monoid, tuple(values))
-
-
-def product_star_prime(ctx: CorrespondenceContext, phi: FuzzySubset) -> FuzzySubset:
-    """Over RxR: (f,g) -> min over independent (s1,s2) of phi(f(s1), g(s2))."""
+def _product_up(tag: str, ctx: CorrespondenceContext, phi: FuzzySubset) -> FuzzySubset:
+    """Over LxL or RxR: (f,g) -> min over independent (s1,s2) of phi(f(s1), g(s2))."""
+    sd = ctx.side(tag)
     _expect(phi, ctx.sxs_monoid, "SxS")
     ns = ctx.G.S.n
-    values = []
-    for m1 in ctx.R.maps:
-        for m2 in ctx.R.maps:
-            values.append(
-                min(
-                    phi.values[m1.table[s1] * ns + m2.table[s2]]
-                    for s1 in range(ns)
-                    for s2 in range(ns)
-                )
-            )
-    return FuzzySubset(ctx.rxr_monoid, tuple(values))
+    values = tuple(
+        min(phi.values[m1.table[s1] * ns + m2.table[s2]] for s1 in range(ns) for s2 in range(ns))
+        for m1 in sd.op.maps
+        for m2 in sd.op.maps
+    )
+    return FuzzySubset(sd.pair_monoid, values)
+
+
+# The paper's names.  Callers look these up as module attributes at call time,
+# so patching one (fault injection, tracing) reaches every use.
+plus = partial(_fuzzy_down, "L")
+star = partial(_fuzzy_down, "R")
+plus_prime = partial(_fuzzy_up, "L")
+star_prime = partial(_fuzzy_up, "R")
+crisp_plus = partial(_crisp_down, "L")
+crisp_star = partial(_crisp_down, "R")
+crisp_plus_prime = partial(_crisp_up, "L")
+crisp_star_prime = partial(_crisp_up, "R")
+product_plus = partial(_product_down, "L")
+product_star = partial(_product_down, "R")
+product_plus_prime = partial(_product_up, "L")
+product_star_prime = partial(_product_up, "R")

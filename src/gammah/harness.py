@@ -3,6 +3,8 @@
 Every check enumerates the finite families it quantifies over (grid-valued
 fuzzy h-ideal families, crisp h-ideal lattices) and asserts its identity
 exactly; missing hypotheses (unities) give `assumption-unmet`, never a pass.
+The catalog is a table of rows: a side-generic body serves every row that
+differs only in its side(s), its direction and its source family.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
+from functools import partialmethod
 from fractions import Fraction
 from typing import Callable
 
@@ -31,6 +34,7 @@ from .fuzzy import (
 from .ideals import (
     LEFT,
     RIGHT,
+    SIDEDNESS,
     TWO_SIDED,
     CapacityError,
     FuzzyHIdealFamily,
@@ -142,15 +146,13 @@ class _Families:
         fixed = {"S": ctx.s_ps, "L": ctx.l_ps, "R": ctx.r_ps, "SxS": ctx.sxs_ps}
         if which in fixed:
             return fixed[which]
-        if which == "LxL":
-            return self._cache.setdefault(
-                "ps:LxL", _pair_hemiring_ps(ctx.L, ctx.lxl_monoid)
-            )
-        if which == "RxR":
-            return self._cache.setdefault(
-                "ps:RxR", _pair_hemiring_ps(ctx.R, ctx.rxr_monoid)
-            )
-        raise ValueError(f"unknown carrier {which!r}")
+        if which not in ("LxL", "RxR"):
+            raise ValueError(f"unknown carrier {which!r}")
+        key = ("ps", which)
+        if key not in self._cache:
+            side = ctx.side(which[0])
+            self._cache[key] = _pair_hemiring_ps(side.op, side.pair_monoid)
+        return self._cache[key]
 
     def fuzzy(self, which: str, sidedness: str = TWO_SIDED) -> FuzzyHIdealFamily:
         key = ("fuzzy", which, sidedness)
@@ -164,33 +166,24 @@ class _Families:
             self._cache[key] = enumerate_h_ideals(self.ps(which), sidedness)
         return self._cache[key]
 
-    def bi(self, which: str) -> tuple[FuzzySubset, ...]:
+    def _directed(self, kind: str, which: str) -> tuple[FuzzySubset, ...]:
         # Direct filtering when the candidate space fits; otherwise fall back
-        # to the fuzzy h-ideal family, whose members are bi-ideals.
-        key = ("bi", which)
+        # to the fuzzy h-ideal family, whose members are bi- and quasi-ideals.
+        key = (kind, which)
         if key not in self._cache:
+            bi = kind == "bi"
+            ps = self.ps(which)
             try:
-                self._cache[key] = enumerate_fuzzy_h_bi_ideals(self.ps(which), self.grid)
+                enumerate_ = enumerate_fuzzy_h_bi_ideals if bi else enumerate_fuzzy_h_quasi_ideals
+                self._cache[key] = enumerate_(ps, self.grid)
             except CapacityError:
+                check = is_fuzzy_h_bi_ideal if bi else is_fuzzy_h_quasi_ideal
                 members = self.fuzzy(which).members
-                ps = self.ps(which)
-                self._cache[key] = tuple(
-                    m for m in members if is_fuzzy_h_bi_ideal(ps, m).holds
-                )
+                self._cache[key] = tuple(m for m in members if check(ps, m).holds)
         return self._cache[key]
 
-    def quasi(self, which: str) -> tuple[FuzzySubset, ...]:
-        key = ("quasi", which)
-        if key not in self._cache:
-            try:
-                self._cache[key] = enumerate_fuzzy_h_quasi_ideals(self.ps(which), self.grid)
-            except CapacityError:
-                members = self.fuzzy(which).members
-                ps = self.ps(which)
-                self._cache[key] = tuple(
-                    m for m in members if is_fuzzy_h_quasi_ideal(ps, m).holds
-                )
-        return self._cache[key]
+    bi = partialmethod(_directed, "bi")
+    quasi = partialmethod(_directed, "quasi")
 
     def primes(self, which: str, semi: bool = False) -> tuple[FuzzySubset, ...]:
         key = ("primes", which, semi)
@@ -202,6 +195,77 @@ class _Families:
                 z for z in fam.members if check(ps, z, fam).holds
             )
         return self._cache[key]
+
+
+# --- transfer maps and source families ----------------------------------------
+
+UP, DOWN = "up", "down"  # S -> L/R, and L/R -> S
+_MAP_NAMES = {
+    ("L", UP): "plus_prime",
+    ("L", DOWN): "plus",
+    ("R", UP): "star_prime",
+    ("R", DOWN): "star",
+}
+
+
+def _map(side: str, direction: str, kind: str = "") -> Callable:
+    """The transfer map of a side and direction; kind is "", "crisp_" or "product_".
+
+    Looked up when a check runs, never at import, so a patched map in
+    gammah.correspondence reaches every check.
+    """
+    return getattr(corr, kind + _MAP_NAMES[side, direction])
+
+
+@dataclass(frozen=True)
+class _Source:
+    """A family of fuzzy subsets and the membership test its transfers must pass.
+
+    The family comes in variants (a sidedness, or prime versus semiprime),
+    which checks loop outermost; `tag(variant)` names the variant in a witness.
+    """
+
+    variants: tuple
+    members: Callable  # (fams, carrier, variant) -> members
+    check: Callable  # (fams, carrier, subset, variant) -> CheckResult
+    tag: Callable = lambda variant: {}
+    member_key: str = "member"
+
+
+def _h_ideal_source(variants: tuple, tag: Callable) -> _Source:
+    return _Source(
+        variants,
+        lambda fams, c, sid: fams.fuzzy(c, sid).members,
+        lambda fams, c, mu, sid: is_fuzzy_h_ideal(fams.ps(c), mu, sid, require_top=True),
+        tag,
+    )
+
+
+H_IDEAL = _h_ideal_source((TWO_SIDED,), lambda sid: {})
+SIDED = _h_ideal_source(SIDEDNESS, lambda sid: {"sidedness": sid})
+PRIME = _Source(
+    (False, True),
+    lambda fams, c, semi: fams.primes(c, semi),
+    lambda fams, c, zeta, semi: (
+        is_semiprime_fuzzy_h_ideal if semi else is_prime_fuzzy_h_ideal
+    )(fams.ps(c), zeta, fams.fuzzy(c)),
+    lambda semi: {"kind": "semiprime" if semi else "prime"},
+    "zeta",
+)
+BI = _Source(
+    (None,),
+    lambda fams, c, _: fams.bi(c),
+    lambda fams, c, mu, _: is_fuzzy_h_bi_ideal(fams.ps(c), mu),
+)
+QUASI = _Source(
+    (None,),
+    lambda fams, c, _: fams.quasi(c),
+    lambda fams, c, mu, _: is_fuzzy_h_quasi_ideal(fams.ps(c), mu),
+)
+
+
+def _failure(keys: dict, res) -> dict:
+    return {**keys, "condition": res.condition, "inner": res.witness or {}}
 
 
 # --- section 2: machinery sanity -------------------------------------------
@@ -310,59 +374,45 @@ def _check_intersection_commutes(ctx, fams):
     return None
 
 
-def _check_plus_preserves(ctx, fams):
-    for mu in fams.fuzzy("L").members:
-        res = is_fuzzy_h_ideal(ctx.s_ps, corr.plus(ctx, mu), TWO_SIDED, require_top=True)
-        if not res.holds:
-            return {"member": _vals(mu), "condition": res.condition, "inner": res.witness or {}}
-    return None
+def _membership(ctx, fams, sides, direction, source):
+    """Transfers of each source member pass the source's test on the other carrier.
 
-
-def _sided_transfer(ctx, fams, source, target, mapper):
-    for sid in (TWO_SIDED, LEFT, RIGHT):
-        for mu in fams.fuzzy(source, sid).members:
-            res = is_fuzzy_h_ideal(fams.ps(target), mapper(ctx, mu), sid, require_top=True)
+    Forward rows (S to a side) loop member-major, backward rows side-major;
+    the witness names the side only when the row has two.
+    """
+    for v in source.variants:
+        if direction == UP:
+            pairs = ((side, mu) for mu in source.members(fams, "S", v) for side in sides)
+        else:
+            pairs = ((side, mu) for side in sides for mu in source.members(fams, side, v))
+        for side, mu in pairs:
+            target = side if direction == UP else "S"
+            res = source.check(fams, target, _map(side, direction)(ctx, mu), v)
             if not res.holds:
-                return {
-                    "sidedness": sid,
-                    "member": _vals(mu),
-                    "condition": res.condition,
-                    "inner": res.witness or {},
-                }
+                named = {"operator": side} if len(sides) > 1 else {}
+                return _failure({**source.tag(v), **named, source.member_key: _vals(mu)}, res)
     return None
 
 
-def _check_plus_prime_preserves(ctx, fams):
-    return _sided_transfer(ctx, fams, "S", "L", corr.plus_prime)
-
-
-def _check_star_preserves(ctx, fams):
-    return _sided_transfer(ctx, fams, "R", "S", corr.star)
-
-
-def _check_star_prime_preserves(ctx, fams):
-    return _sided_transfer(ctx, fams, "S", "R", corr.star_prime)
-
-
-def _roundtrip(ctx, fams, fwd, bwd, src, dst):
-    for sigma in fams.fuzzy(src).members:
+def _roundtrip(ctx, fams, fwd, bwd, side):
+    for sigma in fams.fuzzy("S").members:
         w = _diff_witness({"member": _vals(sigma)}, bwd(ctx, fwd(ctx, sigma)), sigma)
         if w:
             return w
-    for mu in fams.fuzzy(dst).members:
+    for mu in fams.fuzzy(side).members:
         w = _diff_witness({"member": _vals(mu)}, fwd(ctx, bwd(ctx, mu)), mu)
         if w:
             return w
     return None
 
 
-def _monotone(ctx, fams, fwd, bwd, src, dst):
-    src_members = fams.fuzzy(src).members
+def _monotone(ctx, fams, fwd, bwd, side):
+    src_members = fams.fuzzy("S").members
     for s1 in src_members:
         for s2 in src_members:
             if is_subset(s1, s2) and not is_subset(fwd(ctx, s1), fwd(ctx, s2)):
                 return {"direction": "forward", "m1": _vals(s1), "m2": _vals(s2)}
-    dst_members = fams.fuzzy(dst).members
+    dst_members = fams.fuzzy(side).members
     for m1 in dst_members:
         for m2 in dst_members:
             if is_subset(m1, m2) and not is_subset(bwd(ctx, m1), bwd(ctx, m2)):
@@ -370,8 +420,8 @@ def _monotone(ctx, fams, fwd, bwd, src, dst):
     return None
 
 
-def _lattice_ops(ctx, fams, fwd, src):
-    members = fams.fuzzy(src).members
+def _lattice_ops(ctx, fams, fwd, bwd, side):
+    members = fams.fuzzy("S").members
     for s1, s2 in itertools.combinations_with_replacement(members, 2):
         ctx_w = {"m1": _vals(s1), "m2": _vals(s2)}
         w = _diff_witness(
@@ -391,28 +441,19 @@ def _lattice_ops(ctx, fams, fwd, src):
     return None
 
 
-def _check_left_iso_roundtrip(ctx, fams):
-    return _roundtrip(ctx, fams, corr.plus_prime, corr.plus, "S", "L")
+_ISO_PARTS = {"roundtrip": _roundtrip, "monotone": _monotone, "lattice": _lattice_ops}
 
 
-def _check_left_iso_monotone(ctx, fams):
-    return _monotone(ctx, fams, corr.plus_prime, corr.plus, "S", "L")
+def _iso(ctx, fams, side, parts):
+    """Parts of the fuzzy lattice isomorphism between S and one side.
 
-
-def _check_left_iso_lattice(ctx, fams):
-    return _lattice_ops(ctx, fams, corr.plus_prime, "S")
-
-
-def _check_right_iso(ctx, fams):
-    w = _roundtrip(ctx, fams, corr.star_prime, corr.star, "S", "R")
-    if w:
-        return {"part": "roundtrip", **w}
-    w = _monotone(ctx, fams, corr.star_prime, corr.star, "S", "R")
-    if w:
-        return {"part": "monotone", **w}
-    w = _lattice_ops(ctx, fams, corr.star_prime, "S")
-    if w:
-        return {"part": "lattice", **w}
+    A row with several parts names the failing one in its witness.
+    """
+    fwd, bwd = _map(side, UP), _map(side, DOWN)
+    for part in parts:
+        w = _ISO_PARTS[part](ctx, fams, fwd, bwd, side)
+        if w:
+            return {"part": part, **w} if len(parts) > 1 else w
     return None
 
 
@@ -432,49 +473,26 @@ def _check_complete_lattices(ctx, fams):
     return None
 
 
-def _indicator_square(ctx, fams, which, fuzzy_map, crisp_map, src_monoid, dst_monoid):
-    for sid in (TWO_SIDED, LEFT, RIGHT):
-        for ideal in fams.crisp(which, sid):
-            lhs = fuzzy_map(ctx, characteristic(src_monoid, ideal.indices()))
-            rhs = characteristic(dst_monoid, crisp_map(ctx, ideal).indices())
+def _indicator_square(ctx, fams, side, direction):
+    """The fuzzy map of an indicator is the indicator of the crisp map."""
+    fuzzy_map, crisp_map = _map(side, direction), _map(side, direction, "crisp_")
+    src, src_mon, dst_mon = "S", ctx.s_monoid, ctx.side(side).monoid
+    if direction == DOWN:
+        src, src_mon, dst_mon = side, dst_mon, src_mon
+    for sid in SIDEDNESS:
+        for ideal in fams.crisp(src, sid):
+            lhs = fuzzy_map(ctx, characteristic(src_mon, ideal.indices()))
+            rhs = characteristic(dst_mon, crisp_map(ctx, ideal).indices())
             w = _diff_witness({"sidedness": sid, "ideal": list(ideal.labels())}, lhs, rhs)
             if w:
                 return w
     return None
 
 
-def _check_indicator_plus_prime(ctx, fams):
-    return _indicator_square(
-        ctx, fams, "S", corr.plus_prime, corr.crisp_plus_prime, ctx.s_monoid, ctx.l_monoid
-    )
-
-
-def _check_indicator_plus(ctx, fams):
-    return _indicator_square(
-        ctx, fams, "L", corr.plus, corr.crisp_plus, ctx.l_monoid, ctx.s_monoid
-    )
-
-
-def _check_indicator_star_prime(ctx, fams):
-    return _indicator_square(
-        ctx, fams, "S", corr.star_prime, corr.crisp_star_prime, ctx.s_monoid, ctx.r_monoid
-    )
-
-
-def _check_indicator_star(ctx, fams):
-    return _indicator_square(
-        ctx, fams, "R", corr.star, corr.crisp_star, ctx.r_monoid, ctx.s_monoid
-    )
-
-
-def _crisp_lattice_bijection(ctx, fams, which):
-    fwd, bwd = (
-        (corr.crisp_plus_prime, corr.crisp_plus)
-        if which == "L"
-        else (corr.crisp_star_prime, corr.crisp_star)
-    )
+def _crisp_lattice_bijection(ctx, fams, side):
+    fwd, bwd = _map(side, UP, "crisp_"), _map(side, DOWN, "crisp_")
     s_ideals = fams.crisp("S")
-    o_ideals = fams.crisp(which)
+    o_ideals = fams.crisp(side)
     images = [fwd(ctx, i) for i in s_ideals]
     if sorted(i.mask for i in images) != sorted(i.mask for i in o_ideals):
         return {
@@ -509,20 +527,12 @@ def _crisp_lattice_bijection(ctx, fams, which):
     return None
 
 
-def _check_crisp_left_iso(ctx, fams):
-    return _crisp_lattice_bijection(ctx, fams, "L")
-
-
-def _check_crisp_right_iso(ctx, fams):
-    return _crisp_lattice_bijection(ctx, fams, "R")
-
-
-def _composition(ctx, fams, product_fn):
+def _composition(ctx, fams, sides, product):
+    """A forward map of an h-product is the h-product of the forward maps."""
+    product_fn = generalized_h_product if product == "generalized" else simple_h_product_cached
     members = fams.fuzzy("S").members
-    for side, mapper, ps in (
-        ("L", corr.plus_prime, ctx.l_ps),
-        ("R", corr.star_prime, ctx.r_ps),
-    ):
+    for side in sides:
+        mapper, ps = _map(side, UP), fams.ps(side)
         for mu in members:
             for nu in members:
                 lhs = mapper(ctx, product_fn(ctx.s_ps, mu, nu))
@@ -532,105 +542,6 @@ def _composition(ctx, fams, product_fn):
                 )
                 if w:
                     return w
-    return None
-
-
-def _check_composition(ctx, fams):
-    return _composition(ctx, fams, generalized_h_product)
-
-
-def _check_simple_composition(ctx, fams):
-    return _composition(ctx, fams, simple_h_product_cached)
-
-
-def _check_prime_forward(ctx, fams):
-    for semi in (False, True):
-        check = is_semiprime_fuzzy_h_ideal if semi else is_prime_fuzzy_h_ideal
-        for zeta in fams.primes("S", semi):
-            for which, mapper in (("L", corr.plus_prime), ("R", corr.star_prime)):
-                res = check(fams.ps(which), mapper(ctx, zeta), fams.fuzzy(which))
-                if not res.holds:
-                    return {
-                        "kind": "semiprime" if semi else "prime",
-                        "operator": which,
-                        "zeta": _vals(zeta),
-                        "condition": res.condition,
-                        "inner": res.witness or {},
-                    }
-    return None
-
-
-def _check_prime_backward(ctx, fams):
-    fam_s = fams.fuzzy("S")
-    for semi in (False, True):
-        check = is_semiprime_fuzzy_h_ideal if semi else is_prime_fuzzy_h_ideal
-        for which, mapper in (("L", corr.plus), ("R", corr.star)):
-            for zeta in fams.primes(which, semi):
-                res = check(ctx.s_ps, mapper(ctx, zeta), fam_s)
-                if not res.holds:
-                    return {
-                        "kind": "semiprime" if semi else "prime",
-                        "operator": which,
-                        "zeta": _vals(zeta),
-                        "condition": res.condition,
-                        "inner": res.witness or {},
-                    }
-    return None
-
-
-def _check_bi_forward(ctx, fams):
-    for mu in fams.bi("S"):
-        for which, mapper in (("L", corr.plus_prime), ("R", corr.star_prime)):
-            res = is_fuzzy_h_bi_ideal(fams.ps(which), mapper(ctx, mu))
-            if not res.holds:
-                return {
-                    "operator": which,
-                    "member": _vals(mu),
-                    "condition": res.condition,
-                    "inner": res.witness or {},
-                }
-    return None
-
-
-def _check_bi_backward(ctx, fams):
-    for which, mapper in (("L", corr.plus), ("R", corr.star)):
-        for mu in fams.bi(which):
-            res = is_fuzzy_h_bi_ideal(ctx.s_ps, mapper(ctx, mu))
-            if not res.holds:
-                return {
-                    "operator": which,
-                    "member": _vals(mu),
-                    "condition": res.condition,
-                    "inner": res.witness or {},
-                }
-    return None
-
-
-def _check_quasi_forward(ctx, fams):
-    for mu in fams.quasi("S"):
-        for which, mapper in (("L", corr.plus_prime), ("R", corr.star_prime)):
-            res = is_fuzzy_h_quasi_ideal(fams.ps(which), mapper(ctx, mu))
-            if not res.holds:
-                return {
-                    "operator": which,
-                    "member": _vals(mu),
-                    "condition": res.condition,
-                    "inner": res.witness or {},
-                }
-    return None
-
-
-def _check_quasi_backward(ctx, fams):
-    for which, mapper in (("L", corr.plus), ("R", corr.star)):
-        for mu in fams.quasi(which):
-            res = is_fuzzy_h_quasi_ideal(ctx.s_ps, mapper(ctx, mu))
-            if not res.holds:
-                return {
-                    "operator": which,
-                    "member": _vals(mu),
-                    "condition": res.condition,
-                    "inner": res.witness or {},
-                }
     return None
 
 
@@ -657,136 +568,63 @@ def _check_coproduct(ctx, fams):
     return None
 
 
-def _check_product_commutes_plain(ctx, fams):
-    for which, mapper, pmap in (
-        ("R", corr.star, corr.product_star),
-        ("L", corr.plus, corr.product_plus),
-    ):
-        members = fams.fuzzy(which).members
+def _product_commutes(ctx, fams, sides, direction):
+    """The product map of a cartesian product is the product of the maps."""
+    for side in sides:
+        members = fams.fuzzy("S" if direction == UP else side).members
+        mapper, pmap = _map(side, direction), _map(side, direction, "product_")
         for mu in members:
             for sigma in members:
                 lhs = pmap(ctx, cartesian(mu, sigma))
                 rhs = cartesian(mapper(ctx, mu), mapper(ctx, sigma))
                 w = _diff_witness(
-                    {"operator": which, "mu": _vals(mu), "sigma": _vals(sigma)}, lhs, rhs
+                    {"operator": side, "mu": _vals(mu), "sigma": _vals(sigma)}, lhs, rhs
                 )
                 if w:
                     return w
     return None
 
 
-def _check_product_commutes_prime(ctx, fams):
-    members = fams.fuzzy("S").members
-    for which, mapper, pmap in (
-        ("R", corr.star_prime, corr.product_star_prime),
-        ("L", corr.plus_prime, corr.product_plus_prime),
-    ):
-        for mu in members:
-            for sigma in members:
-                lhs = pmap(ctx, cartesian(mu, sigma))
-                rhs = cartesian(mapper(ctx, mu), mapper(ctx, sigma))
-                w = _diff_witness(
-                    {"operator": which, "mu": _vals(mu), "sigma": _vals(sigma)}, lhs, rhs
-                )
-                if w:
-                    return w
-    return None
+def _pair_images(ctx, fams, sides, source):
+    """Cartesian products of transferred pairs pass the source's test there.
 
-
-def _check_product_h_ideal(ctx, fams):
-    for which, mapper, target in (
-        ("R", corr.star, "SxS"),
-        ("L", corr.plus, "SxS"),
-    ):
-        members = fams.fuzzy(which).members
-        for mu in members:
-            for sigma in members:
-                prod = cartesian(mapper(ctx, mu), mapper(ctx, sigma))
-                res = is_fuzzy_h_ideal(fams.ps(target), prod, TWO_SIDED, require_top=True)
-                if not res.holds:
-                    return {
-                        "operator": which,
-                        "mu": _vals(mu),
-                        "sigma": _vals(sigma),
-                        "condition": res.condition,
-                        "inner": res.witness or {},
-                    }
-    members = fams.fuzzy("S").members
-    for which, mapper in (("RxR", corr.star_prime), ("LxL", corr.plus_prime)):
-        for mu in members:
-            for sigma in members:
-                prod = cartesian(mapper(ctx, mu), mapper(ctx, sigma))
-                res = is_fuzzy_h_ideal(fams.ps(which), prod, TWO_SIDED, require_top=True)
-                if not res.holds:
-                    return {
-                        "target": which,
-                        "mu": _vals(mu),
-                        "sigma": _vals(sigma),
-                        "condition": res.condition,
-                        "inner": res.witness or {},
-                    }
-    return None
-
-
-def _check_product_prime(ctx, fams):
-    for semi in (False, True):
-        check = is_semiprime_fuzzy_h_ideal if semi else is_prime_fuzzy_h_ideal
-        for which, mapper in (("R", corr.star), ("L", corr.plus)):
-            primes = fams.primes(which, semi)
-            for mu in primes:
-                for sigma in primes:
-                    prod = cartesian(mapper(ctx, mu), mapper(ctx, sigma))
-                    res = check(ctx.sxs_ps, prod, fams.fuzzy("SxS"))
-                    if not res.holds:
-                        return {
-                            "kind": "semiprime" if semi else "prime",
-                            "operator": which,
-                            "mu": _vals(mu),
-                            "sigma": _vals(sigma),
-                            "condition": res.condition,
-                            "inner": res.witness or {},
-                        }
-        primes = fams.primes("S", semi)
-        for target, mapper in (("RxR", corr.star_prime), ("LxL", corr.plus_prime)):
-            for mu in primes:
-                for sigma in primes:
-                    prod = cartesian(mapper(ctx, mu), mapper(ctx, sigma))
-                    res = check(fams.ps(target), prod, fams.fuzzy(target))
-                    if not res.holds:
-                        return {
-                            "kind": "semiprime" if semi else "prime",
-                            "target": target,
-                            "mu": _vals(mu),
-                            "sigma": _vals(sigma),
-                            "condition": res.condition,
-                            "inner": res.witness or {},
-                        }
+    Backward images land in SxS and name their operator; forward images land
+    in LxL or RxR and name that target.
+    """
+    for v in source.variants:
+        for direction in (DOWN, UP):
+            for side in sides:
+                members = source.members(fams, "S" if direction == UP else side, v)
+                target = f"{side}x{side}" if direction == UP else "SxS"
+                named = {"target": target} if direction == UP else {"operator": side}
+                mapper = _map(side, direction)
+                for mu in members:
+                    for sigma in members:
+                        prod = cartesian(mapper(ctx, mu), mapper(ctx, sigma))
+                        res = source.check(fams, target, prod, v)
+                        if not res.holds:
+                            pair = {"mu": _vals(mu), "sigma": _vals(sigma)}
+                            return _failure({**source.tag(v), **named, **pair}, res)
     return None
 
 
 def _check_product_roundtrip(ctx, fams):
+    # The R-side product maps undo the R-side maps on cartesian products, both ways.
+    for source, direction in (("S", UP), ("R", DOWN)):
+        inner = _map("R", direction)
+        outer = _map("R", DOWN if direction == UP else UP, "product_")
+        members = fams.fuzzy(source).members
+        for mu in members:
+            for sigma in members:
+                image = cartesian(inner(ctx, mu), inner(ctx, sigma))
+                w = _diff_witness(
+                    {"direction": source, "mu": _vals(mu), "sigma": _vals(sigma)},
+                    outer(ctx, image),
+                    cartesian(mu, sigma),
+                )
+                if w:
+                    return w
     s_members = fams.fuzzy("S").members
-    for mu in s_members:
-        for sigma in s_members:
-            image = cartesian(corr.star_prime(ctx, mu), corr.star_prime(ctx, sigma))
-            w = _diff_witness(
-                {"direction": "S", "mu": _vals(mu), "sigma": _vals(sigma)},
-                corr.product_star(ctx, image),
-                cartesian(mu, sigma),
-            )
-            if w:
-                return w
-    r_members = fams.fuzzy("R").members
-    for mu in r_members:
-        for sigma in r_members:
-            image = cartesian(corr.star(ctx, mu), corr.star(ctx, sigma))
-            w = _diff_witness(
-                {"direction": "R", "mu": _vals(mu), "sigma": _vals(sigma)},
-                corr.product_star_prime(ctx, image),
-                cartesian(mu, sigma),
-            )
-            if w:
-                return w
     pairs = [(m1, m2, cartesian(m1, m2)) for m1 in s_members for m2 in s_members]
     for mu1, s1, c1 in pairs:
         im1 = cartesian(corr.star_prime(ctx, mu1), corr.star_prime(ctx, s1))
@@ -804,11 +642,21 @@ def _check_product_roundtrip(ctx, fams):
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One check: a body run as fn(ctx, fams, *args).
+
+    The args of a side-generic body name its side(s), its direction and its
+    source family.
+    """
+
     check_id: str
     suite: str
     needs: tuple[str, ...]
     fn: Callable
+    args: tuple = ()
 
+
+LR, RL = ("L", "R"), ("R", "L")
+UNITIES = ("left unity", "right unity")
 
 CATALOG: tuple[CatalogEntry, ...] = (
     CatalogEntry("S2-axioms", "section2", (), _check_axioms),
@@ -817,36 +665,34 @@ CATALOG: tuple[CatalogEntry, ...] = (
     CatalogEntry("S2-oplus", "section2", (), _check_oplus),
     CatalogEntry("S2-gamma-subset", "section2", (), _check_gamma_subset),
     CatalogEntry("L3.3", "section3", (), _check_intersection_commutes),
-    CatalogEntry("P3.4", "section3", (), _check_plus_preserves),
-    CatalogEntry("P3.5", "section3", (), _check_plus_prime_preserves),
-    CatalogEntry("P3.6", "section3", (), _check_star_preserves),
-    CatalogEntry("P3.7", "section3", (), _check_star_prime_preserves),
-    CatalogEntry(
-        "T3.8-roundtrip", "section3", ("left unity", "right unity"), _check_left_iso_roundtrip
-    ),
-    CatalogEntry("T3.8-monotone", "section3", (), _check_left_iso_monotone),
-    CatalogEntry("T3.8-lattice", "section3", (), _check_left_iso_lattice),
-    CatalogEntry("T3.9", "section3", ("left unity", "right unity"), _check_right_iso),
+    CatalogEntry("P3.4", "section3", (), _membership, (("L",), DOWN, H_IDEAL)),
+    CatalogEntry("P3.5", "section3", (), _membership, (("L",), UP, SIDED)),
+    CatalogEntry("P3.6", "section3", (), _membership, (("R",), DOWN, SIDED)),
+    CatalogEntry("P3.7", "section3", (), _membership, (("R",), UP, SIDED)),
+    CatalogEntry("T3.8-roundtrip", "section3", UNITIES, _iso, ("L", ("roundtrip",))),
+    CatalogEntry("T3.8-monotone", "section3", (), _iso, ("L", ("monotone",))),
+    CatalogEntry("T3.8-lattice", "section3", (), _iso, ("L", ("lattice",))),
+    CatalogEntry("T3.9", "section3", UNITIES, _iso, ("R", ("roundtrip", "monotone", "lattice"))),
     CatalogEntry("C3.10", "section3", (), _check_complete_lattices),
-    CatalogEntry("L3.11", "section3", (), _check_indicator_plus_prime),
-    CatalogEntry("L3.12", "section3", (), _check_indicator_plus),
-    CatalogEntry("L3.13", "section3", (), _check_indicator_star_prime),
-    CatalogEntry("L3.14", "section3", (), _check_indicator_star),
-    CatalogEntry("T3.15", "section3", ("left unity", "right unity"), _check_crisp_left_iso),
-    CatalogEntry("T3.16", "section3", ("left unity", "right unity"), _check_crisp_right_iso),
-    CatalogEntry("P-comp", "section3", (), _check_composition),
-    CatalogEntry("R-gamma", "section3", (), _check_simple_composition),
-    CatalogEntry("P-prime-fwd", "section3", (), _check_prime_forward),
-    CatalogEntry("P-prime-bwd", "section3", (), _check_prime_backward),
-    CatalogEntry("P-bi-fwd", "section3", (), _check_bi_forward),
-    CatalogEntry("P-bi-bwd", "section3", (), _check_bi_backward),
-    CatalogEntry("P-quasi-fwd", "section3", (), _check_quasi_forward),
-    CatalogEntry("P-quasi-bwd", "section3", (), _check_quasi_backward),
+    CatalogEntry("L3.11", "section3", (), _indicator_square, ("L", UP)),
+    CatalogEntry("L3.12", "section3", (), _indicator_square, ("L", DOWN)),
+    CatalogEntry("L3.13", "section3", (), _indicator_square, ("R", UP)),
+    CatalogEntry("L3.14", "section3", (), _indicator_square, ("R", DOWN)),
+    CatalogEntry("T3.15", "section3", UNITIES, _crisp_lattice_bijection, ("L",)),
+    CatalogEntry("T3.16", "section3", UNITIES, _crisp_lattice_bijection, ("R",)),
+    CatalogEntry("P-comp", "section3", (), _composition, (LR, "generalized")),
+    CatalogEntry("R-gamma", "section3", (), _composition, (LR, "simple")),
+    CatalogEntry("P-prime-fwd", "section3", (), _membership, (LR, UP, PRIME)),
+    CatalogEntry("P-prime-bwd", "section3", (), _membership, (LR, DOWN, PRIME)),
+    CatalogEntry("P-bi-fwd", "section3", (), _membership, (LR, UP, BI)),
+    CatalogEntry("P-bi-bwd", "section3", (), _membership, (LR, DOWN, BI)),
+    CatalogEntry("P-quasi-fwd", "section3", (), _membership, (LR, UP, QUASI)),
+    CatalogEntry("P-quasi-bwd", "section3", (), _membership, (LR, DOWN, QUASI)),
     CatalogEntry("S4-coprod", "section4", (), _check_coproduct),
-    CatalogEntry("S4-commute-star", "section4", (), _check_product_commutes_plain),
-    CatalogEntry("S4-commute-starprime", "section4", (), _check_product_commutes_prime),
-    CatalogEntry("S4-hideal", "section4", (), _check_product_h_ideal),
-    CatalogEntry("S4-prime", "section4", (), _check_product_prime),
+    CatalogEntry("S4-commute-star", "section4", (), _product_commutes, (RL, DOWN)),
+    CatalogEntry("S4-commute-starprime", "section4", (), _product_commutes, (RL, UP)),
+    CatalogEntry("S4-hideal", "section4", (), _pair_images, (RL, H_IDEAL)),
+    CatalogEntry("S4-prime", "section4", (), _pair_images, (RL, PRIME)),
     CatalogEntry(
         "T-cores2", "section4", ("strong left unity", "right unity"), _check_product_roundtrip
     ),
@@ -887,7 +733,7 @@ def run_check(
     missing = _missing_hypothesis(ctx, entry.needs)
     if missing is not None:
         return PropertyResult(check_id, UNMET, {"missing": missing}, time.perf_counter() - start)
-    witness = entry.fn(ctx, fams)
+    witness = entry.fn(ctx, fams, *entry.args)
     elapsed = time.perf_counter() - start
     if witness is None:
         return PropertyResult(check_id, PASS, None, elapsed)

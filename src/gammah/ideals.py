@@ -284,10 +284,13 @@ def enumerate_h_ideals(
 def _fuzzy_head_checks(
     ps: ProductStructure,
     mu: FuzzySubset,
-    sidedness: str,
-    require_top: bool,
+    sidedness: str | None = None,
+    require_top: bool = False,
 ) -> CheckResult | None:
-    """Nonempty, top, additivity and sided product conditions; None when fine."""
+    """Nonempty, top, additivity and sided product conditions; None when fine.
+
+    Without a sidedness the product conditions are left to the caller.
+    """
     mon = ps.carrier
     lab = mon.elements
     if mu.carrier != mon:
@@ -308,6 +311,8 @@ def _fuzzy_head_checks(
                     "additive",
                     {"x": lab[x], "y": lab[y], "x+y": lab[row[y]]},
                 )
+    if sidedness is None:
+        return None
     pp = ps.pair_products
     for x in range(mon.n):
         for y in range(mon.n):
@@ -351,29 +356,18 @@ def is_fuzzy_h_ideal(
     sidedness: str = TWO_SIDED,
     require_top: bool = False,
 ) -> CheckResult:
-    head = _fuzzy_head_checks(ps, mu, sidedness, require_top)
-    if head is not None:
-        return head
-    h = _fuzzy_h_condition(ps, mu)
-    if h is not None:
-        return h
-    return _ok()
+    # The first failing condition, else a pass.
+    return _fuzzy_head_checks(ps, mu, sidedness, require_top) or _fuzzy_h_condition(ps, mu) or _ok()
 
 
 def is_fuzzy_h_bi_ideal(ps: ProductStructure, mu: FuzzySubset) -> CheckResult:
     """Additivity, product, two-step product, and h conditions."""
+    head = _fuzzy_head_checks(ps, mu)
+    if head is not None:
+        return head
     mon = ps.carrier
     lab = mon.elements
-    if mu.carrier != mon:
-        raise ValueError("fuzzy subset lives on a different carrier")
-    if all(v == 0 for v in mu.values):
-        return _fail("nonempty")
     vals = mu.values
-    add = mon.add
-    for x in range(mon.n):
-        for y in range(mon.n):
-            if vals[add[x][y]] < min(vals[x], vals[y]):
-                return _fail("additive", {"x": lab[x], "y": lab[y], "x+y": lab[add[x][y]]})
     pp = ps.pair_products
     for x in range(mon.n):
         for y in range(mon.n):
@@ -393,26 +387,17 @@ def is_fuzzy_h_bi_ideal(ps: ProductStructure, mu: FuzzySubset) -> CheckResult:
                                 "sandwich",
                                 {"x": lab[x], "y": lab[y], "z": lab[z], "xyz": lab[q]},
                             )
-    h = _fuzzy_h_condition(ps, mu)
-    if h is not None:
-        return h
-    return _ok()
+    return _fuzzy_h_condition(ps, mu) or _ok()
 
 
 def is_fuzzy_h_quasi_ideal(ps: ProductStructure, mu: FuzzySubset) -> CheckResult:
     """Additivity, (mu oh chi) meet (chi oh mu) below mu, and the h-condition."""
+    head = _fuzzy_head_checks(ps, mu)
+    if head is not None:
+        return head
     mon = ps.carrier
     lab = mon.elements
-    if mu.carrier != mon:
-        raise ValueError("fuzzy subset lives on a different carrier")
-    if all(v == 0 for v in mu.values):
-        return _fail("nonempty")
     vals = mu.values
-    add = mon.add
-    for x in range(mon.n):
-        for y in range(mon.n):
-            if vals[add[x][y]] < min(vals[x], vals[y]):
-                return _fail("additive", {"x": lab[x], "y": lab[y], "x+y": lab[add[x][y]]})
     chi = constant(mon, 1)
     both = intersect(
         generalized_h_product(ps, mu, chi),
@@ -424,10 +409,7 @@ def is_fuzzy_h_quasi_ideal(ps: ProductStructure, mu: FuzzySubset) -> CheckResult
                 "quasi-intersection",
                 {"x": lab[x], "lhs": str(both.values[x]), "mu": str(vals[x])},
             )
-    h = _fuzzy_h_condition(ps, mu)
-    if h is not None:
-        return h
-    return _ok()
+    return _fuzzy_h_condition(ps, mu) or _ok()
 
 
 @dataclass(frozen=True)
@@ -520,10 +502,10 @@ def enumerate_fuzzy_h_ideals(
     return FuzzyHIdealFamily(mon, vals, sidedness, tuple(members))
 
 
-def enumerate_fuzzy_h_bi_ideals(
-    ps: ProductStructure, grid: Sequence, cap: int | None = None
+def _direct_filter(
+    ps: ProductStructure, grid: Sequence, cap: int | None, check
 ) -> tuple[FuzzySubset, ...]:
-    """All nonempty grid-valued fuzzy h-bi-ideals, by direct filtering."""
+    """Every nonempty grid-valued subset that passes check, sorted by values."""
     vals = _check_grid(grid)
     mon = ps.carrier
     limit = _cap(CANDIDATE_CAP_ENV, DEFAULT_CANDIDATE_CAP, cap)
@@ -532,28 +514,24 @@ def enumerate_fuzzy_h_bi_ideals(
     out = []
     for combo in itertools.product(vals, repeat=mon.n):
         mu = FuzzySubset(mon, combo)
-        if any(v > 0 for v in combo) and is_fuzzy_h_bi_ideal(ps, mu).holds:
+        if any(v > 0 for v in combo) and check(ps, mu).holds:
             out.append(mu)
     out.sort(key=lambda m: m.values)
     return tuple(out)
+
+
+def enumerate_fuzzy_h_bi_ideals(
+    ps: ProductStructure, grid: Sequence, cap: int | None = None
+) -> tuple[FuzzySubset, ...]:
+    """All nonempty grid-valued fuzzy h-bi-ideals, by direct filtering."""
+    return _direct_filter(ps, grid, cap, is_fuzzy_h_bi_ideal)
 
 
 def enumerate_fuzzy_h_quasi_ideals(
     ps: ProductStructure, grid: Sequence, cap: int | None = None
 ) -> tuple[FuzzySubset, ...]:
     """All nonempty grid-valued fuzzy h-quasi-ideals, by direct filtering."""
-    vals = _check_grid(grid)
-    mon = ps.carrier
-    limit = _cap(CANDIDATE_CAP_ENV, DEFAULT_CANDIDATE_CAP, cap)
-    if len(vals) ** mon.n > limit:
-        raise CapacityError(f"{len(vals) ** mon.n} candidates above cap {limit}")
-    out = []
-    for combo in itertools.product(vals, repeat=mon.n):
-        mu = FuzzySubset(mon, combo)
-        if any(v > 0 for v in combo) and is_fuzzy_h_quasi_ideal(ps, mu).holds:
-            out.append(mu)
-    out.sort(key=lambda m: m.values)
-    return tuple(out)
+    return _direct_filter(ps, grid, cap, is_fuzzy_h_quasi_ideal)
 
 
 def simple_h_product_cached(ps: ProductStructure, mu: FuzzySubset, theta: FuzzySubset) -> FuzzySubset:

@@ -14,6 +14,8 @@ composition runs on Mat(B,2x1), whose operator hemiring L does not commute.
 On Z2 both corruptions change nothing, and the tests assert that as well.
 """
 
+import hashlib
+import importlib.util
 import itertools
 import json
 import time
@@ -70,6 +72,18 @@ def report_line(name: str, ok: bool, elapsed: float, note: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     suffix = f"  [{note}]" if note else ""
     print(f"ACCEPTANCE {name}: {status} ({elapsed:.2f}s){suffix}")
+
+
+def _load_bench_refs():
+    # The verify digests the benchmark gates on, read from their one home.
+    path = Path(__file__).resolve().parents[1] / "bench" / "refs.py"
+    spec = importlib.util.spec_from_file_location("bench_refs", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+VERIFY_REPORTS = _load_bench_refs().VERIFY_REPORTS
 
 
 @pytest.fixture(scope="module")
@@ -330,6 +344,10 @@ def test_criterion_4_theorem_suite(contexts, name):
     assert unmet <= ALLOWED_UNMET.get(name, set()), unmet
     if "S4-prime" in refuted:
         assert_prime_product_refuted(ctx, failed["S4-prime"])
+    # The report is the one `gammah verify` prints, byte for byte.
+    code, digest = VERIFY_REPORTS[CORPUS_FILES[name]]
+    assert hashlib.sha256((report.to_json() + "\n").encode()).hexdigest() == digest, name
+    assert code == (0 if report.overall == "pass" else 1), name
     elapsed = time.perf_counter() - start
     report_line(f"criterion-4 theorem suite [{name}]", True, elapsed,
                 "S4-prime refuted, witness re-checked" if refuted else "")

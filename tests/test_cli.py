@@ -1,7 +1,12 @@
+import contextlib
+import copy
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammah.cli import main, structure_from_doc, structure_to_doc
 
@@ -208,6 +213,13 @@ class TestMap:
         code, _, err = capout("map", spath("z2"), mu, "--dir", "plus")
         assert code == 2
 
+    def test_decimal_values_are_exact(self, capout, tmp_path):
+        path = tmp_path / "mu.json"
+        path.write_text('{"over": "S", "values": {"0": 1, "1": 0.1}}')
+        code, out, _ = capout("map", spath("z2"), str(path), "--dir", "plusprime")
+        assert code == 0
+        assert json.loads(out)["values"] == {"op0": "1", "op1": "1/10"}
+
 
 class TestVerify:
     def test_boolean_all_green(self, capout):
@@ -256,3 +268,132 @@ class TestVerify:
         assert doc["overall"] == "fail"
         failed = [r for r in doc["results"] if r["status"] == "fail"]
         assert failed and all(r["witness"] for r in failed)
+
+
+class TestExitCodeContract:
+    """Malformed input exits 2 with a one-line error, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("S", "add"), 5), (("action",), [5, 6]), (("Gamma", "elements"), [["0"], "1"])],
+    )
+    def test_malformed_structure(self, capout, tmp_path, path, value):
+        doc = json.loads(Path(spath("z2")).read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(doc))
+        code, _, err = capout("validate", str(target))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"values": {"0": null}}',
+            '{"values": {"0": [1]}}',
+            '{"values": {"0": 1e400}}',
+            '{"values": {"0": Infinity}}',
+            '{"over": ["S"]}',
+            '{"values": {"0": 1e-999999999}}',
+            '{"values": {"0": "1e-999999999"}}',
+        ],
+    )
+    def test_malformed_fuzzy(self, capout, tmp_path, text):
+        path = tmp_path / "mu.json"
+        path.write_text(text)
+        code, _, err = capout("check", spath("z2"), str(path))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_huge_grid_exponent(self, capout):
+        code, _, err = capout("verify", spath("b"), "--grid", "0,1e-999999999,1")
+        assert code == 2
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "env, argv",
+        [
+            ("GAMMAH_OPERATOR_CAP", ("operators", spath("z2"))),
+            ("GAMMAH_IDEAL_CARRIER_CAP", ("h-ideals", spath("z2"))),
+        ],
+    )
+    def test_non_integer_cap(self, capout, monkeypatch, env, argv):
+        monkeypatch.setenv(env, "abc")
+        code, _, err = capout(*argv)
+        assert code == 2
+        assert env in err
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 3),
+        st.floats(),
+        st.sampled_from(["0", "1", "1/2", "2", "x", "op0", "S", "L", "SxS"]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["0", "1", "x", "over", "values"]), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, prefix + (i,))
+
+
+@st.composite
+def mutated(draw, base):
+    """base with one to three nodes replaced by arbitrary JSON, or deleted."""
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = draw(JSON_VALUES)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+def _exit_code(tmp_dir, doc, *argv) -> int:
+    path = tmp_dir / "doc.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main([a if a != "DOC" else str(path) for a in argv])
+
+
+Z2_DOC = json.loads((STRUCTURES / "z2.json").read_text())
+FUZZY_DOC = {"over": "S", "structure": "Z2", "values": {"0": "1", "1": "1/2"}}
+KINDS = ["h-ideal", "bi", "quasi", "prime", "semiprime"]
+
+
+class TestFuzzedInputs:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(doc=mutated(Z2_DOC))
+    def test_mutated_structure(self, tmp_path_factory, doc):
+        tmp = tmp_path_factory.mktemp("structure")
+        assert _exit_code(tmp, doc, "validate", "DOC") in (0, 1, 2, 3)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(doc=mutated(FUZZY_DOC), kind=st.sampled_from(KINDS))
+    def test_mutated_fuzzy(self, tmp_path_factory, doc, kind):
+        tmp = tmp_path_factory.mktemp("fuzzy")
+        assert _exit_code(tmp, doc, "check", spath("z2"), "DOC", "--kind", kind) in (0, 1, 2, 3)

@@ -9,6 +9,7 @@ from gammah import corpus
 from gammah.correspondence import build_context
 from gammah.fuzzy import FuzzySubset
 from gammah.harness import CATALOG, run_check, run_suite
+from gammah.ideals import CrispSubset
 
 GRID = ("0", "1/2", "1")
 
@@ -157,3 +158,42 @@ class TestFaultInjection:
         assert all(r.witness for r in failed)
         assert report.overall == "fail"
         assert any(r.check_id == "T3.8-roundtrip" for r in failed)
+
+    # Each transfer map is a fault-injection seam: corrupting it must make a
+    # check that passes honestly fail with a witness.
+    SEAMS = {
+        "plus": "L3.12",
+        "crisp_plus": "L3.12",
+        "plus_prime": "L3.11",
+        "crisp_plus_prime": "L3.11",
+        "star": "L3.14",
+        "crisp_star": "L3.14",
+        "star_prime": "L3.13",
+        "crisp_star_prime": "L3.13",
+        "product_plus": "S4-commute-star",
+        "product_star": "S4-commute-star",
+        "product_plus_prime": "S4-commute-starprime",
+        "product_star_prime": "S4-commute-starprime",
+    }
+
+    @pytest.fixture(scope="class")
+    def ctx_z3(self):
+        return build_context(corpus.zmod(3))
+
+    @pytest.mark.parametrize("name", sorted(SEAMS))
+    def test_corrupted_map_trips_its_check(self, monkeypatch, ctx_z3, name):
+        check_id = self.SEAMS[name]
+        assert run_check(check_id, ctx_z3, GRID).status == "pass"
+        honest = getattr(gammah.correspondence, name)
+
+        def corrupted(ctx, subset):
+            out = honest(ctx, subset)
+            if isinstance(out, CrispSubset):  # flip the last member
+                return CrispSubset(out.carrier, out.members[:-1] + (not out.members[-1],))
+            # flatten to the value at zero
+            return FuzzySubset(out.carrier, (out.values[out.carrier.zero],) * out.carrier.n)
+
+        monkeypatch.setattr(gammah.correspondence, name, corrupted)
+        res = run_check(check_id, ctx_z3, GRID)
+        assert res.status == "fail", res
+        assert res.witness
