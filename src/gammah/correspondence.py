@@ -9,7 +9,7 @@ takes a side tag, "L" or "R"; the paper's names bind that tag.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from .core import (
@@ -35,17 +35,31 @@ from .operators import (
 
 
 class Side(NamedTuple):
-    """One operator hemiring with its embedding table and carriers."""
+    """One operator hemiring with its embedding table and carriers.
 
+    The pair carrier (LxL or RxR) is read from the context only when asked
+    for, so a map that never touches it never builds it.
+    """
+
+    ctx: "CorrespondenceContext"
+    tag: str
     op: OperatorHemiring
     embed: tuple[tuple[int, ...], ...]  # embed[x][gamma]: index of [x,gamma] or [gamma,x]
     monoid: FiniteMonoid
-    pair_monoid: FiniteMonoid
+
+    @property
+    def pair_monoid(self) -> FiniteMonoid:
+        return self.ctx.lxl_monoid if self.tag == "L" else self.ctx.rxr_monoid
 
 
 @dataclass
 class CorrespondenceContext:
-    """A structure together with its operator hemirings and product carriers."""
+    """A structure together with its operator hemirings and product carriers.
+
+    `GxG`, `lxl_monoid` and `rxr_monoid` are built on first read: they hold
+    |S|^4|Gamma|, |L|^4 and |R|^4 cells, and most uses of a context need
+    none of them.
+    """
 
     G: GammaHemiring
     L: OperatorHemiring
@@ -58,19 +72,28 @@ class CorrespondenceContext:
     s_ps: ProductStructure
     l_ps: ProductStructure
     r_ps: ProductStructure
-    GxG: GammaHemiring
     sxs_monoid: FiniteMonoid
     sxs_ps: ProductStructure
-    lxl_monoid: FiniteMonoid
-    rxr_monoid: FiniteMonoid
     left_embed: tuple[tuple[int, ...], ...] = field(repr=False, default=())
     right_embed: tuple[tuple[int, ...], ...] = field(repr=False, default=())
+
+    @cached_property
+    def GxG(self) -> GammaHemiring:
+        return product(self.G, self.G)
+
+    @cached_property
+    def lxl_monoid(self) -> FiniteMonoid:
+        return product_monoid(self.l_monoid, self.l_monoid)
+
+    @cached_property
+    def rxr_monoid(self) -> FiniteMonoid:
+        return product_monoid(self.r_monoid, self.r_monoid)
 
     def side(self, tag: str) -> Side:
         """The operator hemiring L or R with its embedding table and carriers."""
         if tag == "L":
-            return Side(self.L, self.left_embed, self.l_monoid, self.lxl_monoid)
-        return Side(self.R, self.right_embed, self.r_monoid, self.rxr_monoid)
+            return Side(self, tag, self.L, self.left_embed, self.l_monoid)
+        return Side(self, tag, self.R, self.right_embed, self.r_monoid)
 
 
 def _named(g: GammaHemiring) -> GammaHemiring:
@@ -86,15 +109,49 @@ def _named(g: GammaHemiring) -> GammaHemiring:
     return GammaHemiring(g.name, s, gam, g.action)
 
 
+def _pair_product_structure(g: GammaHemiring) -> ProductStructure:
+    """The product structure of product(g, g), read off g's action columns.
+
+    The products of (x1,x2) and (y1,y2) are the pairs (x1 g y1, x2 g y2) over
+    g in Gamma, so they depend only on the Gamma-columns of (x1,y1) and
+    (x2,y2).  Equal columns are interned and each distinct pair of columns
+    is computed once, without the |S|^4|Gamma| action table of product(g, g).
+    """
+    ns, ng, act = g.S.n, g.Gamma.n, g.action
+    ids: dict[tuple[int, ...], int] = {}
+    columns = []
+    col_id = []  # col_id[x][y]: the id of the Gamma-column of (x, y)
+    for x in range(ns):
+        row = []
+        for y in range(ns):
+            col = tuple(act[x][ga][y] for ga in range(ng))
+            if col not in ids:
+                ids[col] = len(columns)
+                columns.append(col)
+            row.append(ids[col])
+        col_id.append(row)
+    pairs: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def products(c1: int, c2: int) -> tuple[int, ...]:
+        key = (c1, c2)
+        if key not in pairs:
+            pairs[key] = tuple(sorted({u * ns + v for u, v in zip(columns[c1], columns[c2])}))
+        return pairs[key]
+
+    table = tuple(
+        tuple(products(c1, c2) for c1 in row1 for c2 in row2)
+        for row1 in col_id
+        for row2 in col_id
+    )
+    return ProductStructure(product_monoid(g.S, g.S), table)
+
+
 def build_context(g: GammaHemiring, cap: int | None = None) -> CorrespondenceContext:
     g = _named(g)
     left = build_operator(g, LEFT, cap)
     right = build_operator(g, RIGHT, cap)
     s_ps = as_product_structure(g)
-    gxg = product(g, g)
-    sxs_ps = as_product_structure(gxg)
-    lm = left.monoid()
-    rm = right.monoid()
+    sxs_ps = _pair_product_structure(g)
     return CorrespondenceContext(
         G=g,
         L=left,
@@ -102,16 +159,13 @@ def build_context(g: GammaHemiring, cap: int | None = None) -> CorrespondenceCon
         left_unity=find_unity(g, left),
         right_unity=find_unity(g, right),
         s_monoid=s_ps.carrier,
-        l_monoid=lm,
-        r_monoid=rm,
+        l_monoid=left.monoid(),
+        r_monoid=right.monoid(),
         s_ps=s_ps,
         l_ps=hemiring_as_product_structure(left),
         r_ps=hemiring_as_product_structure(right),
-        GxG=gxg,
         sxs_monoid=sxs_ps.carrier,
         sxs_ps=sxs_ps,
-        lxl_monoid=product_monoid(lm, lm),
-        rxr_monoid=product_monoid(rm, rm),
         left_embed=_embed_table(g, left),
         right_embed=_embed_table(g, right),
     )

@@ -21,7 +21,7 @@ from .core import (
     StructureError,
     _cap,
     hemiring_product_structure,
-    validate_hemiring,
+    validate_monoid,
 )
 
 LEFT = "left"
@@ -179,62 +179,79 @@ def build_operator(g: GammaHemiring, side: str, cap: int | None = None) -> Opera
     """Breadth-first closure of the generator maps under + and composition.
 
     Maps are deduplicated by table equality; each map keeps the first formal
-    sum that produced it.  The hemiring laws of the resulting tables are
-    verified before returning.
+    sum that produced it.  The closure is semi-naive: a round pairs only the
+    maps found since the previous round with all maps, because a pair of
+    older maps was tabled in an earlier round and admits nothing new.  The
+    rounds visit the remaining pairs in the order a full rescan would, so
+    discovery order, labels and provenance are those of the full rescan, and
+    each pair's result is its cell of the `add` and `mul` tables.
+
+    The result is a hemiring without a check of its tables.  S is validated
+    as a commutative monoid up front, and every map is checked to fix zero
+    and to be additive.  Such maps form a hemiring under pointwise + and
+    composition f.g = f(g(-)): + inherits commutativity and associativity
+    from S; composition is associative; (f+g).h = f.h + g.h holds pointwise;
+    f.(g+h) = f.g + f.h and f.0 = 0 hold because f is additive and fixes
+    zero; 0.f = 0 always holds.  The reversed composition of the right side
+    satisfies the same laws.  The closure is closed under both operations
+    and holds the zero map, so it is a hemiring too.
     """
     if side not in (LEFT, RIGHT):
         raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}")
     limit = _cap(OPERATOR_CAP_ENV, DEFAULT_OPERATOR_CAP, cap)
     s = g.S
+    rep = validate_monoid(s)
+    if not rep.valid:
+        raise StructureError(f"carrier S is not a commutative monoid: {rep.violations[0][0]}", rep)
     maps: list[ActionMap] = []
     prov: list[FormalSum] = []
     index: dict[tuple[int, ...], int] = {}
 
-    def admit(m: ActionMap, f: FormalSum) -> None:
-        if m.table not in index:
+    def admit(m: ActionMap, provenance) -> int:
+        k = index.get(m.table)
+        if k is None:
             if len(maps) >= limit:
                 raise CapacityError(f"operator closure exceeded cap {limit} maps")
-            index[m.table] = len(maps)
+            k = index[m.table] = len(maps)
             maps.append(m)
-            prov.append(f)
+            prov.append(provenance())
+        return k
 
     for x in range(s.n):
         for ga in range(g.Gamma.n):
             pair = (x, ga) if side == LEFT else (ga, x)
             f = FormalSum(side, (pair,))
-            admit(realize(g, f), f)
+            admit(realize(g, f), lambda f=f: f)
 
-    # Fixpoint: rescan all pairs until no new map appears.  Closure sizes are
-    # desk scale, so the quadratic rescan is fine and keeps discovery order
-    # deterministic.
-    grown = True
-    while grown:
-        grown = False
+    # add_rows[i] and mul_rows[i] hold the tabled results of map i with maps
+    # 0..len-1; a round extends every row to the maps that existed when it
+    # began.  Addition on S commutes, so add[i][j] for i > j is add[j][i],
+    # which row j already holds.
+    add_rows: list[list[int]] = []
+    mul_rows: list[list[int]] = []
+    while len(mul_rows) < len(maps):
         size = len(maps)
+        for _ in range(len(mul_rows), size):
+            add_rows.append([])
+            mul_rows.append([])
         for i in range(size):
-            for j in range(size):
-                before = len(maps)
+            add_row, mul_row = add_rows[i], mul_rows[i]
+            for j in range(len(mul_row), size):
                 if i <= j:
-                    admit(_pointwise_add(s, maps[i], maps[j]), prov[i] + prov[j])
-                admit(_compose(side, maps[i], maps[j]), formal_product(g, prov[i], prov[j]))
-                if len(maps) != before:
-                    grown = True
+                    add_row.append(admit(
+                        _pointwise_add(s, maps[i], maps[j]), lambda: prov[i] + prov[j]
+                    ))
+                else:
+                    add_row.append(add_rows[j][i])
+                mul_row.append(admit(
+                    _compose(side, maps[i], maps[j]), lambda: formal_product(g, prov[i], prov[j])
+                ))
 
-    n = len(maps)
-    add_table = tuple(
-        tuple(index[_pointwise_add(s, maps[i], maps[j]).table] for j in range(n))
-        for i in range(n)
-    )
-    mul_table = tuple(
-        tuple(index[_compose(side, maps[i], maps[j]).table] for j in range(n))
-        for i in range(n)
-    )
     zero = index[tuple(s.zero for _ in range(s.n))]
-
-    op = OperatorHemiring(side, g.name, tuple(maps), add_table, mul_table, zero, tuple(prov))
-    rep = validate_hemiring(op.hemiring())
-    if not rep.valid:
-        raise StructureError(f"operator closure is not a hemiring: {rep.violations[0][0]}", rep)
+    op = OperatorHemiring(
+        side, g.name, tuple(maps), tuple(map(tuple, add_rows)), tuple(map(tuple, mul_rows)),
+        zero, tuple(prov),
+    )
     for k, m in enumerate(maps):
         if m.table[s.zero] != s.zero:
             raise StructureError(f"map op{k} does not fix zero")

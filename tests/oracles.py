@@ -208,3 +208,133 @@ def brute_fuzzy_family(
         if naive_is_fuzzy_h_ideal(ps, combo, sidedness, require_top=True):
             out.append(combo)
     return sorted(out)
+
+
+def full_rescan_operator(g: GammaHemiring, side: str):
+    """The operator closure by rescanning every pair of maps until nothing new
+    appears, with both tables recomputed from the final maps.
+
+    Returns (map tables, provenance, add, mul, zero) in discovery order, each
+    map with the first formal sum that produced it.
+    """
+    from gammah.operators import FormalSum, formal_product, realize
+
+    add = g.S.add
+    maps: list[tuple[int, ...]] = []
+    prov = []
+    index: dict[tuple[int, ...], int] = {}
+
+    def plus(t1, t2):
+        return tuple(add[a][b] for a, b in zip(t1, t2))
+
+    def times(t1, t2):
+        return tuple(t1[v] for v in t2) if side == "left" else tuple(t2[v] for v in t1)
+
+    def admit(table, f):
+        if table not in index:
+            index[table] = len(maps)
+            maps.append(table)
+            prov.append(f)
+
+    for x in range(g.S.n):
+        for ga in range(g.Gamma.n):
+            f = FormalSum(side, ((x, ga) if side == "left" else (ga, x),))
+            admit(realize(g, f).table, f)
+    grown = True
+    while grown:
+        grown = False
+        size = len(maps)
+        for i in range(size):
+            for j in range(size):
+                before = len(maps)
+                if i <= j:
+                    admit(plus(maps[i], maps[j]), prov[i] + prov[j])
+                admit(times(maps[i], maps[j]), formal_product(g, prov[i], prov[j]))
+                grown = grown or len(maps) != before
+    n = len(maps)
+    add_table = tuple(tuple(index[plus(maps[i], maps[j])] for j in range(n)) for i in range(n))
+    mul_table = tuple(tuple(index[times(maps[i], maps[j])] for j in range(n)) for i in range(n))
+    zero = index[tuple(g.S.zero for _ in range(g.S.n))]
+    return maps, prov, add_table, mul_table, zero
+
+
+def short_sums_mul_law(ctx):
+    """The multiplication law checked on every pair of formal sums with at
+    most two terms; returns the first failing pair as a witness, or None.
+    """
+    from gammah.operators import FormalSum, formal_product, realize
+
+    g = ctx.G
+    realized: dict = {}  # a sum's map depends only on its multiset of terms
+
+    def realize_product(f1, f2):
+        f = formal_product(g, f1, f2)
+        key = (f.side, tuple(sorted(f.terms)))
+        if key not in realized:
+            realized[key] = realize(g, f).table
+        return realized[key]
+
+    for op in (ctx.L, ctx.R):
+        pairs = [
+            (x, ga) if op.side == "left" else (ga, x)
+            for x in range(g.S.n)
+            for ga in range(g.Gamma.n)
+        ]
+        sums = [FormalSum(op.side, (p,)) for p in pairs]
+        sums += [FormalSum(op.side, (p, q)) for p in pairs for q in pairs]
+        tables = [realize(g, f).table for f in sums]
+        for i, f1 in enumerate(sums):
+            k1 = op._index[tables[i]]
+            for j, f2 in enumerate(sums):
+                k2 = op._index[tables[j]]
+                via_table = op.maps[op.mul[k1][k2]].table
+                via_sum = realize_product(f1, f2)
+                if via_table != via_sum:
+                    return {
+                        "side": op.side,
+                        "f1": [list(t) for t in f1.terms],
+                        "f2": [list(t) for t in f2.terms],
+                    }
+    return None
+
+
+def element_loop_axioms(g: GammaHemiring, violation_cap: int = 16):
+    """Violations of axioms 1-6 in the order of an element-by-element scan,
+    cut at violation_cap.  The carrier monoids are assumed valid.
+    """
+    ns, ng = g.S.n, g.Gamma.n
+    sl, gl = g.S.elements, g.Gamma.elements
+    sadd, gadd, act = g.S.add, g.Gamma.add, g.action
+    zs, zg = g.S.zero, g.Gamma.zero
+    out = []
+    for a in range(ns):
+        for b in range(ns):
+            ab = sadd[a][b]
+            for ga in range(ng):
+                for c in range(ns):
+                    if act[ab][ga][c] != sadd[act[a][ga][c]][act[b][ga][c]]:
+                        out.append(("axiom-1", (sl[a], sl[b], gl[ga], sl[c])))
+                    if act[c][ga][ab] != sadd[act[c][ga][a]][act[c][ga][b]]:
+                        out.append(("axiom-2", (sl[c], gl[ga], sl[a], sl[b])))
+    for a in range(ns):
+        for ga in range(ng):
+            for gb in range(ng):
+                for b in range(ns):
+                    if act[a][gadd[ga][gb]][b] != sadd[act[a][ga][b]][act[a][gb][b]]:
+                        out.append(("axiom-3", (sl[a], gl[ga], gl[gb], sl[b])))
+    for a in range(ns):
+        for ga in range(ng):
+            for b in range(ns):
+                for gb in range(ng):
+                    for c in range(ns):
+                        if act[a][ga][act[b][gb][c]] != act[act[a][ga][b]][gb][c]:
+                            out.append(("axiom-4", (sl[a], gl[ga], sl[b], gl[gb], sl[c])))
+    for ga in range(ng):
+        for a in range(ns):
+            if act[zs][ga][a] != zs or act[a][ga][zs] != zs:
+                out.append(("axiom-5", (sl[a], gl[ga])))
+    for a in range(ns):
+        for b in range(ns):
+            if act[a][zg][b] != zs or act[b][zg][a] != zs:
+                out.append(("axiom-6", (sl[a], sl[b])))
+    return tuple(out[:violation_cap])

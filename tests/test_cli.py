@@ -101,6 +101,31 @@ class TestOperators:
         assert "capacity" in err
 
 
+class TestLargeClosures:
+    """Structures past the corpus: exit codes and output, not hangs or crashes."""
+
+    @staticmethod
+    def write_matrix(tmp_path, n):
+        from gammah import corpus
+        from gammah.core import matrix_gamma_hemiring
+
+        path = tmp_path / f"mat_z{n}.json"
+        g = matrix_gamma_hemiring(corpus.zmod_hemiring(n), 2, 1)
+        path.write_text(json.dumps(structure_to_doc(g)))
+        return str(path)
+
+    def test_operators_on_mat_z4(self, capout, tmp_path):
+        code, out, _ = capout("operators", self.write_matrix(tmp_path, 4))
+        assert code == 0
+        assert "|L|=256" in out.splitlines()
+
+    def test_verify_on_mat_z3_hits_capacity(self, capout, tmp_path):
+        code, out, err = capout("verify", self.write_matrix(tmp_path, 3))
+        assert code == 3
+        assert err.startswith("capacity:")
+        assert out == ""
+
+
 class TestHIdeals:
     def test_z4_three_rows(self, capout):
         code, out, _ = capout("h-ideals", spath("z4"))

@@ -14,6 +14,7 @@ from gammah.core import (
     validate_hemiring,
     validate_monoid,
 )
+from oracles import element_loop_axioms
 
 
 def mono(elements, zero, add, name=""):
@@ -94,6 +95,32 @@ class TestValidateGammaHemiring:
     def test_cell_cap(self, boolean):
         with pytest.raises(CapacityError):
             validate_gamma_hemiring(boolean, cell_cap=1)
+
+    @pytest.mark.parametrize("name", ["Z4", "Z2xZ2", "Mat(B,2x1)"])
+    def test_matches_element_loop_under_single_cell_corruption(self, all_corpus, name):
+        # Axiom-4 compares whole rows; every report must still equal the
+        # element-by-element scan, in its order and up to its cap.
+        g = next(g for g in all_corpus if g.name == name)
+        ns, ng = g.S.n, g.Gamma.n
+        seen_laws, capped = set(), 0
+        for a in range(ns):
+            for ga in range(ng):
+                for b in range(ns):
+                    for v in range(ns):
+                        if v == g.action[a][ga][b]:
+                            continue
+                        action = [list(map(list, plane)) for plane in g.action]
+                        action[a][ga][b] = v
+                        bad = GammaHemiring(g.name, g.S, g.Gamma,
+                                            tuple(tuple(map(tuple, p)) for p in action))
+                        for cap in (16, 10_000):  # the default cap, and none
+                            rep = validate_gamma_hemiring(bad, violation_cap=cap)
+                            want = element_loop_axioms(bad, cap)
+                            assert rep.violations == want, ((a, ga, b), v, cap)
+                            assert rep.valid == (not want)
+                        seen_laws |= {law for law, _ in want}
+                        capped += len(want) > 16
+        assert "axiom-4" in seen_laws and capped, (seen_laws, capped)
 
 
 class TestFromHemiring:

@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import gammah.correspondence
+from gammah import corpus
+from gammah.core import as_product_structure, matrix_gamma_hemiring, product, product_monoid
 from gammah.correspondence import (
+    build_context,
     crisp_plus,
     crisp_plus_prime,
     crisp_star_prime,
@@ -204,3 +208,38 @@ class TestContext:
             for ga in range(g.Gamma.n):
                 assert ctx_z4.left_embed[x][ga] == embed(g, ctx_z4.L, x, ga)
                 assert ctx_z4.right_embed[x][ga] == embed(g, ctx_z4.R, x, ga)
+
+    def test_pair_structure_matches_product_gamma_hemiring(self, all_corpus):
+        for g in [*all_corpus, corpus.zero_action(3), corpus.zmod(6)]:
+            ctx = build_context(g)
+            assert ctx.sxs_ps == as_product_structure(product(ctx.G, ctx.G)), g.name
+            assert ctx.sxs_monoid is ctx.sxs_ps.carrier
+
+    def test_pair_carriers_equal_products_when_read(self, all_corpus):
+        for g in all_corpus:
+            ctx = build_context(g)
+            assert ctx.lxl_monoid == product_monoid(ctx.l_monoid, ctx.l_monoid), g.name
+            assert ctx.rxr_monoid == product_monoid(ctx.r_monoid, ctx.r_monoid), g.name
+            assert ctx.GxG == product(ctx.G, ctx.G), g.name
+            assert ctx.side("L").pair_monoid is ctx.lxl_monoid
+            assert ctx.side("R").pair_monoid is ctx.rxr_monoid
+
+    def test_transfers_leave_pair_carriers_unbuilt(self, monkeypatch):
+        # |L| = 256 here: an LxL carrier would hold 256^4 cells, so building
+        # one fails the test instead of exhausting memory.
+        def guarded(a, b):
+            assert a.n * b.n <= 16 * 16, f"a {a.n}x{b.n} product carrier was built"
+            return product_monoid(a, b)
+
+        def refuse(*args):
+            raise AssertionError("GxG was built")
+
+        monkeypatch.setattr(gammah.correspondence, "product_monoid", guarded)
+        monkeypatch.setattr(gammah.correspondence, "product", refuse)
+        ctx = build_context(matrix_gamma_hemiring(corpus.zmod_hemiring(4), 2, 1))
+        assert ctx.L.n == 256
+        sigma = characteristic(ctx.s_monoid, [ctx.s_monoid.zero])
+        plus(ctx, plus_prime(ctx, sigma))
+        ctx.side("L")
+        ctx.side("R")
+        assert not {"lxl_monoid", "rxr_monoid", "GxG"} & set(vars(ctx))

@@ -5,11 +5,13 @@ import pytest
 import gammah.correspondence
 import gammah.fuzzy
 import gammah.ideals
+import gammah.operators
 from gammah import corpus
 from gammah.correspondence import build_context
 from gammah.fuzzy import FuzzySubset
 from gammah.harness import CATALOG, run_check, run_suite
 from gammah.ideals import CrispSubset
+from oracles import short_sums_mul_law
 
 GRID = ("0", "1/2", "1")
 
@@ -197,3 +199,29 @@ class TestFaultInjection:
         res = run_check(check_id, ctx_z3, GRID)
         assert res.status == "fail", res
         assert res.witness
+
+
+class TestMulLawReference:
+    """S2-mul-law checks generator pairs; the reference checks every pair of
+    formal sums with up to two terms.  Their verdicts must agree."""
+
+    def test_honest_verdicts_agree(self, all_corpus):
+        for g in [*all_corpus, corpus.zmod(5)]:
+            ctx = build_context(g)
+            assert run_check("S2-mul-law", ctx, GRID).status == "pass", g.name
+            assert short_sums_mul_law(ctx) is None, g.name
+
+    def test_flipped_orientation_verdicts_agree(self, monkeypatch):
+        original = gammah.operators._compose
+
+        def corrupted(side, m1, m2):
+            return original("right" if side == "left" else side, m1, m2)
+
+        monkeypatch.setattr(gammah.operators, "_compose", corrupted)
+        # L(Z2) commutes, so the flip changes nothing there; L(Mat(B,2x1)) does not.
+        for g, status in ((corpus.zmod(2), "pass"), (corpus.boolean_matrix_2x1(), "fail")):
+            ctx = build_context(g)
+            res = run_check("S2-mul-law", ctx, GRID)
+            assert res.status == status, g.name
+            assert (short_sums_mul_law(ctx) is None) == (status == "pass"), g.name
+            assert bool(res.witness) == (status == "fail"), g.name

@@ -3,7 +3,14 @@ import itertools
 import pytest
 
 from gammah import corpus
-from gammah.core import CapacityError, validate_hemiring
+from gammah.core import (
+    CapacityError,
+    FiniteMonoid,
+    GammaHemiring,
+    StructureError,
+    matrix_gamma_hemiring,
+    validate_hemiring,
+)
 from gammah.operators import (
     FormalSum,
     build_operator,
@@ -14,7 +21,7 @@ from gammah.operators import (
     realize,
     rho_equivalent,
 )
-from oracles import brute_operator
+from oracles import brute_operator, full_rescan_operator
 
 
 class TestRealize:
@@ -103,8 +110,38 @@ class TestBuildOperator:
 
     def test_tables_form_a_hemiring(self, all_corpus):
         for g in all_corpus:
-            op = build_operator(g, "left")
-            assert validate_hemiring(op.hemiring()).valid
+            for side in ("left", "right"):
+                op = build_operator(g, side)
+                assert validate_hemiring(op.hemiring()).valid, (g.name, side)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_matches_full_rescan(self, all_corpus, side):
+        wider = [corpus.zmod(8), matrix_gamma_hemiring(corpus.zmod_hemiring(3), 2, 1)]
+        for g in [*all_corpus, *wider]:
+            op = build_operator(g, side)
+            maps, prov, add, mul, zero = full_rescan_operator(g, side)
+            assert [m.table for m in op.maps] == maps, (g.name, side)
+            assert list(op.provenance) == prov, (g.name, side)
+            assert (op.add, op.mul, op.zero) == (add, mul, zero), (g.name, side)
+
+    def test_noncommutative_carrier_rejected(self):
+        # S = {0, a, b} with x + y = x for nonzero x, y; the left maps are the
+        # identity and the swap of a and b, which add differently in each order.
+        s = FiniteMonoid(("0", "a", "b"), 0, ((0, 1, 2), (1, 1, 1), (2, 2, 2)), "S")
+        gam = FiniteMonoid(("0", "1"), 0, ((0, 1), (1, 1)), "Gamma")
+        zero, ident, swap = (0, 0, 0), (0, 1, 2), (0, 2, 1)
+        g = GammaHemiring("LeftZero", s, gam, ((zero, zero), (zero, ident), (zero, swap)))
+        with pytest.raises(StructureError):
+            build_operator(g, "left")
+
+    def test_non_additive_action_rejected(self):
+        # On Z3, 1 acting by 1 squares its argument: 1 + 1 = 2 goes to 1, not 2.
+        z3 = corpus.zmod(3)
+        act = [[list(row) for row in plane] for plane in z3.action]
+        act[1][1] = [0, 1, 1]
+        g = GammaHemiring("Z3-squared", z3.S, z3.Gamma, tuple(tuple(map(tuple, p)) for p in act))
+        with pytest.raises(StructureError):
+            build_operator(g, "left")
 
     def test_provenance_realizes_each_map(self, all_corpus):
         for g in all_corpus:
