@@ -13,7 +13,6 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
-from functools import partialmethod
 from fractions import Fraction
 from typing import Callable
 
@@ -36,7 +35,6 @@ from .ideals import (
     RIGHT,
     SIDEDNESS,
     TWO_SIDED,
-    CapacityError,
     FuzzyHIdealFamily,
     enumerate_fuzzy_h_bi_ideals,
     enumerate_fuzzy_h_ideals,
@@ -141,6 +139,11 @@ class _Families:
         self.grid = grid
         self._cache: dict = {}
 
+    def _cached(self, key: tuple, build: Callable):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def ps(self, which: str) -> ProductStructure:
         ctx = self.ctx
         fixed = {"S": ctx.s_ps, "L": ctx.l_ps, "R": ctx.r_ps, "SxS": ctx.sxs_ps}
@@ -148,53 +151,38 @@ class _Families:
             return fixed[which]
         if which not in ("LxL", "RxR"):
             raise ValueError(f"unknown carrier {which!r}")
-        key = ("ps", which)
-        if key not in self._cache:
-            side = ctx.side(which[0])
-            self._cache[key] = _pair_hemiring_ps(side.op, side.pair_monoid)
-        return self._cache[key]
+        side = ctx.side(which[0])
+        return self._cached(("ps", which), lambda: _pair_hemiring_ps(side.op, side.pair_monoid))
 
     def fuzzy(self, which: str, sidedness: str = TWO_SIDED) -> FuzzyHIdealFamily:
-        key = ("fuzzy", which, sidedness)
-        if key not in self._cache:
-            self._cache[key] = enumerate_fuzzy_h_ideals(self.ps(which), self.grid, sidedness)
-        return self._cache[key]
+        return self._cached(
+            ("fuzzy", which, sidedness),
+            lambda: enumerate_fuzzy_h_ideals(self.ps(which), self.grid, sidedness),
+        )
 
     def crisp(self, which: str, sidedness: str = TWO_SIDED):
-        key = ("crisp", which, sidedness)
-        if key not in self._cache:
-            self._cache[key] = enumerate_h_ideals(self.ps(which), sidedness)
-        return self._cache[key]
+        return self._cached(
+            ("crisp", which, sidedness), lambda: enumerate_h_ideals(self.ps(which), sidedness)
+        )
 
-    def _directed(self, kind: str, which: str) -> tuple[FuzzySubset, ...]:
-        # Direct filtering when the candidate space fits; otherwise fall back
-        # to the fuzzy h-ideal family, whose members are bi- and quasi-ideals.
-        key = (kind, which)
-        if key not in self._cache:
-            bi = kind == "bi"
-            ps = self.ps(which)
-            try:
-                enumerate_ = enumerate_fuzzy_h_bi_ideals if bi else enumerate_fuzzy_h_quasi_ideals
-                self._cache[key] = enumerate_(ps, self.grid)
-            except CapacityError:
-                check = is_fuzzy_h_bi_ideal if bi else is_fuzzy_h_quasi_ideal
-                members = self.fuzzy(which).members
-                self._cache[key] = tuple(m for m in members if check(ps, m).holds)
-        return self._cache[key]
+    def bi(self, which: str) -> tuple[FuzzySubset, ...]:
+        return self._cached(
+            ("bi", which), lambda: enumerate_fuzzy_h_bi_ideals(self.ps(which), self.grid)
+        )
 
-    bi = partialmethod(_directed, "bi")
-    quasi = partialmethod(_directed, "quasi")
+    def quasi(self, which: str) -> tuple[FuzzySubset, ...]:
+        return self._cached(
+            ("quasi", which), lambda: enumerate_fuzzy_h_quasi_ideals(self.ps(which), self.grid)
+        )
 
     def primes(self, which: str, semi: bool = False) -> tuple[FuzzySubset, ...]:
-        key = ("primes", which, semi)
-        if key not in self._cache:
+        def build():
             fam = self.fuzzy(which)
             check = is_semiprime_fuzzy_h_ideal if semi else is_prime_fuzzy_h_ideal
             ps = self.ps(which)
-            self._cache[key] = tuple(
-                z for z in fam.members if check(ps, z, fam).holds
-            )
-        return self._cache[key]
+            return tuple(z for z in fam.members if check(ps, z, fam).holds)
+
+        return self._cached(("primes", which, semi), build)
 
 
 # --- transfer maps and source families ----------------------------------------

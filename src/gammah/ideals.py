@@ -4,6 +4,16 @@ The h-condition (x + a + z == b + z forces x into the set) is scanned through
 the shared same-sum relation from the fuzzy module; checkers take a fast
 bitmask pass and only on failure rescan quadruples in lexicographic
 (x, a, b, z) order, so witnesses are reproducible.
+
+Families are enumerated through level cuts mu_t = {x : mu(x) >= t}.  Every
+fuzzy condition here reads "mu(out) >= min of mu(inputs)" (additivity, the
+sided, bi and sandwich products, the h-condition), and an instance fails
+exactly when, at t = that min, the inputs lie in mu_t and the output does not.
+The quasi condition reads by cuts too: cut_t(mu oh chi) = hull(mu_t . S).  So a
+grid-valued mu is a member exactly when it is nonzero (for h-ideals: 1 at
+zero) and each nonempty positive cut is a closed set of the kind (Das 1981;
+Liu 1982).  The closed sets form a Moore family (_closure_mask), listed by
+enumerate_h_ideals; _cut_family walks the antitone chains of cuts over them.
 """
 
 from __future__ import annotations
@@ -11,7 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from .core import CapacityError, FiniteMonoid, ProductStructure, _cap, _memo
 from .fuzzy import (
@@ -19,6 +30,7 @@ from .fuzzy import (
     ZERO,
     FuzzySubset,
     _bits,
+    characteristic,
     constant,
     cut_mask,
     generalized_h_product,
@@ -34,6 +46,9 @@ TWO_SIDED = "two-sided"
 LEFT = "left"
 RIGHT = "right"
 SIDEDNESS = (TWO_SIDED, LEFT, RIGHT)
+BI = "bi"
+QUASI = "quasi"
+KINDS = SIDEDNESS + (BI, QUASI)
 
 DEFAULT_CARRIER_CAP = 64
 DEFAULT_LATTICE_CAP = 4096
@@ -188,45 +203,68 @@ def is_h_ideal(ps: ProductStructure, a: CrispSubset, sidedness: str = TWO_SIDED)
     return is_ideal(ps, a, IdealKind(sidedness, "h-ideal"))
 
 
-def _closure_mask(ps: ProductStructure, mask: int, sidedness: str) -> int:
+def _products(ppm: tuple[tuple[int, ...], ...], amask: int, bmask: int) -> int:
+    """Bitmask of every product a.g.b with a in amask and b in bmask."""
+    out = 0
+    bs = list(_bits(bmask))
+    for a in _bits(amask):
+        row = ppm[a]
+        for b in bs:
+            out |= row[b]
+    return out
+
+
+def _closure_mask(ps: ProductStructure, mask: int, kind: str) -> int:
+    """Least closed set of a kind (a sidedness, BI or QUASI) containing mask.
+
+    A is closed when A + A lies in A, x lies in A whenever x + a + z == b + z
+    with a, b in A, and by kind: zero in A and S.A (left), A.S (right) or
+    both in A, the crisp h-ideals; A.A and (A.S).A in A (BI); hull(A.S) &
+    hull(S.A) in A (QUASI), hull being the 1-cut of generalized_h_product.
+    Each rule r is monotone, so iterating A |= r(A) reaches the least closed
+    superset, and the closed sets form a Moore family: S is closed, and for
+    closed A, B each r(A & B) lies in r(A) & r(B), within A & B.  For QUASI:
+    hull((A&B).S) & hull(S.(A&B)) lies in hull(A.S) & hull(S.A), within A.
+    Nonempty closed sets hold zero (0 + a + 0 == a + 0); the empty set is
+    closed for BI and QUASI only.
+    """
     mon = ps.carrier
     add = mon.add
     same = same_sum_rows(mon)
     ppm = pair_product_masks(ps)
-    mask |= 1 << mon.zero
-    changed = True
-    while changed:
-        changed = False
+    full = (1 << mon.n) - 1
+    if kind in SIDEDNESS:
+        mask |= 1 << mon.zero
+    while True:
         members = list(_bits(mask))
         out = mask
         for i in members:
             row = add[i]
             for j in members:
                 out |= 1 << row[j]
-        if sidedness in (TWO_SIDED, LEFT):
-            for x in range(mon.n):
-                row = ppm[x]
-                for i in members:
-                    out |= row[i]
-        if sidedness in (TWO_SIDED, RIGHT):
-            for i in members:
-                row = ppm[i]
-                for x in range(mon.n):
-                    out |= row[x]
+        if kind in (TWO_SIDED, LEFT):
+            out |= _products(ppm, full, mask)
+        if kind in (TWO_SIDED, RIGHT):
+            out |= _products(ppm, mask, full)
+        if kind == BI:
+            out |= _products(ppm, mask, mask) | _products(ppm, _products(ppm, mask, full), mask)
+        if kind == QUASI:
+            chi, top = characteristic(mon, members), constant(mon, ONE)
+            hull_as = cut_mask(generalized_h_product(ps, chi, top), ONE)
+            out |= hull_as & cut_mask(generalized_h_product(ps, top, chi), ONE)
         for x in range(mon.n):
             if out >> x & 1:
                 continue
             row = add[x]
             if any(same[row[a]] & mask for a in members):
                 out |= 1 << x
-        if out != mask:
-            mask = out
-            changed = True
-    return mask
+        if out == mask:
+            return mask
+        mask = out
 
 
 def h_closure(ps: ProductStructure, a: CrispSubset | Iterable[int], sidedness: str = TWO_SIDED) -> CrispSubset:
-    """Least sided h-ideal containing the given set, by fixpoint iteration."""
+    """Least closed set of a kind (by default a two-sided h-ideal) containing the given set."""
     mon = ps.carrier
     if isinstance(a, CrispSubset):
         if a.carrier != mon:
@@ -243,13 +281,15 @@ def enumerate_h_ideals(
     cap: int | None = None,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
 ) -> list[CrispSubset]:
-    """All sided h-ideals, as the join closure of the principal h-closures.
+    """All sided h-ideals, or with sidedness BI or QUASI all nonempty closed sets.
 
-    Every h-ideal is the closure of its own elements, i.e. a join of principal
-    closures, so closing the principals under pairwise join (closure of the
-    union) enumerates the whole lattice without walking 2^n subsets.  Each
-    result is re-verified by is_h_ideal.  Sorted by size, then lexicographically.
+    Closed sets form a Moore family (_closure_mask), so each is the join of
+    the principal closures of its elements: closing the principals under
+    pairwise join enumerates the lattice without walking 2^n subsets.  Each
+    result is re-verified by the kind's fuzzy checker on its characteristic
+    function.  Sorted by size, then lexicographically.
     """
+    check = _checker(sidedness)
     mon = ps.carrier
     limit = _cap(CARRIER_CAP_ENV, DEFAULT_CARRIER_CAP, cap)
     if mon.n > limit:
@@ -272,11 +312,11 @@ def enumerate_h_ideals(
                     if len(found) > lattice_cap:
                         raise CapacityError(f"h-ideal lattice grew beyond {lattice_cap}")
         worklist = fresh
-    ideals = [crisp_from_mask(mon, m) for m in found]
-    for ideal in ideals:
-        res = is_h_ideal(ps, ideal, sidedness)
+    for m in found:
+        res = check(ps, characteristic(mon, _bits(m)))
         if not res.holds:
-            raise AssertionError(f"closure produced a non-ideal: {res.describe()}")
+            raise AssertionError(f"closure produced a non-member: {res.describe()}")
+    ideals = [crisp_from_mask(mon, m) for m in found]
     ideals.sort(key=lambda c: (c.size(), c.indices()))
     return ideals
 
@@ -412,6 +452,15 @@ def is_fuzzy_h_quasi_ideal(ps: ProductStructure, mu: FuzzySubset) -> CheckResult
     return _fuzzy_h_condition(ps, mu) or _ok()
 
 
+def _checker(kind: str) -> Callable[[ProductStructure, FuzzySubset], CheckResult]:
+    """The fuzzy membership test of a kind; for a sidedness, with top at zero."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
+    if kind in SIDEDNESS:
+        return partial(is_fuzzy_h_ideal, sidedness=kind, require_top=True)
+    return is_fuzzy_h_bi_ideal if kind == BI else is_fuzzy_h_quasi_ideal
+
+
 @dataclass(frozen=True)
 class FuzzyHIdealFamily:
     """All fuzzy sided h-ideals with values in a fixed grid and top at zero."""
@@ -431,38 +480,46 @@ def _check_grid(grid: Sequence) -> tuple[Fraction, ...]:
     return vals
 
 
-def _chain_members(
-    ps: ProductStructure, grid: tuple[Fraction, ...], sidedness: str
-) -> list[FuzzySubset]:
-    """Fuzzy h-ideals as descending chains of crisp h-ideals along the grid.
+def _cut_family(
+    ps: ProductStructure, grid: Sequence, kind: str, cap: int | None
+) -> tuple[FuzzySubset, ...]:
+    """Every grid-valued member of a kind, sorted by values.
 
-    A grid-valued subset with top at zero is a fuzzy h-ideal exactly when all
-    its level sets are crisp h-ideals, so antitone chains over the crisp
-    lattice enumerate the family without scanning |grid|^n candidates.
+    By the level-subset theorem (module docstring) mu is a member exactly
+    when its cuts at the positive grid values t_1 < ... < t_k form a chain
+    C_1 >= ... >= C_k of closed sets with C_1 nonempty, and for a sidedness
+    C_k nonempty (mu(zero) = 1); the chain gives mu(x) = max{t_j : x in C_j},
+    or 0.  For BI and QUASI the cuts above C_1 may be empty.  More chains
+    than the candidate cap raise CapacityError; each member is re-checked.
     """
+    levels = [t for t in _check_grid(grid) if t > 0]
     mon = ps.carrier
-    lattice = [c.mask for c in enumerate_h_ideals(ps, sidedness)]
-    pos = [t for t in grid if t > 0]  # ascending
+    limit = _cap(CANDIDATE_CAP_ENV, DEFAULT_CANDIDATE_CAP, cap)
+    check = _checker(kind)
+    lattice = [c.mask for c in enumerate_h_ideals(ps, kind)]
+    upper = lattice if kind in SIDEDNESS else lattice + [0]
     members: list[FuzzySubset] = []
 
-    def descend(i: int, allowed_sup: int | None, chosen: list[int]):
-        if i == len(pos):
-            values = []
-            for x in range(mon.n):
-                val = ZERO
-                for t, m in zip(pos, chosen):
-                    if m >> x & 1:
-                        val = t
-                values.append(val)
+    def walk(cuts: list[int]) -> None:
+        if len(cuts) == len(levels):
+            if len(members) == limit:
+                raise CapacityError(f"more than {limit} level-set chains in the family")
+            values = [ZERO] * mon.n
+            for t, cut in zip(levels, cuts):
+                for x in _bits(cut):
+                    values[x] = t
             members.append(FuzzySubset(mon, tuple(values)))
             return
-        for m in lattice:
-            if allowed_sup is not None and m & ~allowed_sup:
-                continue
-            descend(i + 1, m, chosen + [m])
+        for m in (c for c in upper if not c & ~cuts[-1]) if cuts else lattice:
+            walk(cuts + [m])
 
-    descend(0, None, [])
-    return members
+    walk([])
+    for mu in members:
+        res = check(ps, mu)
+        if not res.holds:
+            raise AssertionError(f"chain produced a non-member: {res.describe()}")
+    members.sort(key=lambda m: m.values)
+    return tuple(members)
 
 
 def enumerate_fuzzy_h_ideals(
@@ -471,67 +528,23 @@ def enumerate_fuzzy_h_ideals(
     sidedness: str = TWO_SIDED,
     cap: int | None = None,
 ) -> FuzzyHIdealFamily:
-    """Complete family of grid-valued fuzzy sided h-ideals with top at zero.
-
-    When |grid|^n fits under the candidate cap the family is found by direct
-    filtering of every assignment; otherwise by level-set chains over the
-    crisp lattice.  Both routes produce the same family (asserted in tests).
-    """
-    vals = _check_grid(grid)
-    mon = ps.carrier
-    limit = _cap(CANDIDATE_CAP_ENV, DEFAULT_CANDIDATE_CAP, cap)
-    candidates = len(vals) ** mon.n
-    if candidates <= limit:
-        members = []
-        others = [i for i in range(mon.n) if i != mon.zero]
-        for combo in itertools.product(vals, repeat=mon.n - 1):
-            values = [ZERO] * mon.n
-            values[mon.zero] = ONE
-            for i, v in zip(others, combo):
-                values[i] = v
-            mu = FuzzySubset(mon, tuple(values))
-            if is_fuzzy_h_ideal(ps, mu, sidedness, require_top=True).holds:
-                members.append(mu)
-    else:
-        members = _chain_members(ps, vals, sidedness)
-        for mu in members:
-            res = is_fuzzy_h_ideal(ps, mu, sidedness, require_top=True)
-            if not res.holds:
-                raise AssertionError(f"chain produced a non-ideal: {res.describe()}")
-    members.sort(key=lambda m: m.values)
-    return FuzzyHIdealFamily(mon, vals, sidedness, tuple(members))
-
-
-def _direct_filter(
-    ps: ProductStructure, grid: Sequence, cap: int | None, check
-) -> tuple[FuzzySubset, ...]:
-    """Every nonempty grid-valued subset that passes check, sorted by values."""
-    vals = _check_grid(grid)
-    mon = ps.carrier
-    limit = _cap(CANDIDATE_CAP_ENV, DEFAULT_CANDIDATE_CAP, cap)
-    if len(vals) ** mon.n > limit:
-        raise CapacityError(f"{len(vals) ** mon.n} candidates above cap {limit}")
-    out = []
-    for combo in itertools.product(vals, repeat=mon.n):
-        mu = FuzzySubset(mon, combo)
-        if any(v > 0 for v in combo) and check(ps, mu).holds:
-            out.append(mu)
-    out.sort(key=lambda m: m.values)
-    return tuple(out)
+    """Complete family of grid-valued fuzzy sided h-ideals with top at zero (_cut_family)."""
+    members = _cut_family(ps, grid, sidedness, cap)
+    return FuzzyHIdealFamily(ps.carrier, _check_grid(grid), sidedness, members)
 
 
 def enumerate_fuzzy_h_bi_ideals(
     ps: ProductStructure, grid: Sequence, cap: int | None = None
 ) -> tuple[FuzzySubset, ...]:
-    """All nonempty grid-valued fuzzy h-bi-ideals, by direct filtering."""
-    return _direct_filter(ps, grid, cap, is_fuzzy_h_bi_ideal)
+    """All nonempty grid-valued fuzzy h-bi-ideals (_cut_family)."""
+    return _cut_family(ps, grid, BI, cap)
 
 
 def enumerate_fuzzy_h_quasi_ideals(
     ps: ProductStructure, grid: Sequence, cap: int | None = None
 ) -> tuple[FuzzySubset, ...]:
-    """All nonempty grid-valued fuzzy h-quasi-ideals, by direct filtering."""
-    return _direct_filter(ps, grid, cap, is_fuzzy_h_quasi_ideal)
+    """All nonempty grid-valued fuzzy h-quasi-ideals (_cut_family)."""
+    return _cut_family(ps, grid, QUASI, cap)
 
 
 def simple_h_product_cached(ps: ProductStructure, mu: FuzzySubset, theta: FuzzySubset) -> FuzzySubset:

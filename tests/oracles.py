@@ -210,6 +210,25 @@ def brute_fuzzy_family(
     return sorted(out)
 
 
+def direct_filter(
+    ps: ProductStructure, grid, check, require_top: bool = False
+) -> list[tuple[Fraction, ...]]:
+    """Every nonzero grid-valued subset that check accepts, by scanning all
+    |grid|^n assignments; with require_top, only those with value 1 at zero.
+
+    The reference for the level-set chain enumerators.  Sorted by values.
+    """
+    vals = [Fraction(v) for v in grid]
+    mon = ps.carrier
+    out = []
+    for combo in itertools.product(vals, repeat=mon.n):
+        if not any(combo) or require_top and combo[mon.zero] != 1:
+            continue
+        if check(ps, FuzzySubset(mon, combo)).holds:
+            out.append(combo)
+    return sorted(out)
+
+
 def full_rescan_operator(g: GammaHemiring, side: str):
     """The operator closure by rescanning every pair of maps until nothing new
     appears, with both tables recomputed from the final maps.

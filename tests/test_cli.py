@@ -119,6 +119,13 @@ class TestLargeClosures:
         assert code == 0
         assert "|L|=256" in out.splitlines()
 
+    def test_verify_family_cap_exits_three(self, capout, monkeypatch):
+        monkeypatch.setenv("GAMMAH_FUZZY_CANDIDATE_CAP", "1")
+        code, out, err = capout("verify", spath("z2"))
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("capacity:")
+
     def test_verify_on_mat_z3_hits_capacity(self, capout, tmp_path):
         code, out, err = capout("verify", self.write_matrix(tmp_path, 3))
         assert code == 3

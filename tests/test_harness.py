@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -9,8 +10,8 @@ import gammah.operators
 from gammah import corpus
 from gammah.correspondence import build_context
 from gammah.fuzzy import FuzzySubset
-from gammah.harness import CATALOG, run_check, run_suite
-from gammah.ideals import CrispSubset
+from gammah.harness import CATALOG, _Families, run_check, run_suite
+from gammah.ideals import CrispSubset, is_fuzzy_h_bi_ideal, is_fuzzy_h_quasi_ideal
 from oracles import short_sums_mul_law
 
 GRID = ("0", "1/2", "1")
@@ -141,6 +142,23 @@ class TestRunSuite:
         report = run_suite(ctx_boolean, GRID, "section2")
         doc = report.to_json_dict(with_timings=True)
         assert all(row["ms"] >= 0 for row in doc["results"])
+
+
+class TestFamilies:
+    def test_bi_quasi_families_complete_on_mat_b_left(self, mat_b):
+        # |grid|^n = 3^16 for L; the constant 1/2 is a member, not only 1.
+        ctx = build_context(mat_b)
+        grid = tuple(Fraction(v) for v in GRID)
+        fams = _Families(ctx, grid)
+        ps = fams.ps("L")
+        for members, check in (
+            (fams.bi("L"), is_fuzzy_h_bi_ideal),
+            (fams.quasi("L"), is_fuzzy_h_quasi_ideal),
+        ):
+            assert [set(m.values) for m in members] == [{Fraction(1, 2)}, {Fraction(1)}]
+            assert all(check(ps, m).holds for m in members)
+        for check_id in ("P-bi-fwd", "P-bi-bwd", "P-quasi-fwd", "P-quasi-bwd"):
+            assert run_check(check_id, ctx, grid, fams).status == "pass", check_id
 
 
 class TestFaultInjection:

@@ -1,13 +1,27 @@
 import itertools
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammah import corpus
-from gammah.core import CapacityError, as_product_structure, from_hemiring
-from gammah.fuzzy import characteristic, constant, intersect, make_fuzzy
+from gammah.core import (
+    CapacityError,
+    FiniteMonoid,
+    GammaHemiring,
+    as_product_structure,
+    from_hemiring,
+    matrix_gamma_hemiring,
+)
+from gammah.correspondence import build_context
+from gammah.fuzzy import characteristic, constant, cut_mask, intersect, make_fuzzy
 from gammah.ideals import (
+    BI,
+    QUASI,
     IdealKind,
+    _closure_mask,
     crisp,
     enumerate_fuzzy_h_bi_ideals,
     enumerate_fuzzy_h_ideals,
@@ -22,9 +36,50 @@ from gammah.ideals import (
     is_prime_fuzzy_h_ideal,
     is_semiprime_fuzzy_h_ideal,
 )
-from oracles import brute_fuzzy_family, brute_h_ideals, closure_subsets_h_ideals
+from oracles import brute_fuzzy_family, brute_h_ideals, closure_subsets_h_ideals, direct_filter
 
 GRID = ("0", "1/2", "1")
+GRIDS = (GRID, ("0", "1/3", "2/3", "1"))
+KINDS = ("two-sided", "left", "right", BI, QUASI)
+
+
+def nil_cube() -> GammaHemiring:
+    """The ideal (x) of Z2[x]/(x^3) with Gamma = Z2: x.1.x = x2, and every
+    triple product vanishes, so {0, x} meets the bi-ideal sandwich rule
+    (A.S).A within A but not A.A within A."""
+    add = tuple(tuple(a ^ b for b in range(4)) for a in range(4))
+    S = FiniteMonoid(("0", "x", "x2", "x+x2"), 0, add, "Nil:S")
+    gamma = FiniteMonoid(("0", "1"), 0, ((0, 1), (1, 0)), "Nil:Gamma")
+    # a.g.b is x2 when g = 1 and both a and b have an x term, else 0.
+    action = tuple(
+        tuple(tuple(2 if g and a & b & 1 else 0 for b in range(4)) for g in range(2))
+        for a in range(4)
+    )
+    return GammaHemiring("Nil", S, gamma, action)
+
+
+# S, L and R of the corpus, Z5, Z6, Zero2 and Nil, keyed "structure-carrier".
+CARRIERS = {
+    f"{ctx.G.name}-{which}": ps
+    for ctx in map(
+        build_context,
+        corpus.standard_corpus()
+        + [corpus.zmod(5), corpus.zmod(6), corpus.zero_action(2), nil_cube()],
+    )
+    for which, ps in (("S", ctx.s_ps), ("L", ctx.l_ps), ("R", ctx.r_ps))
+}
+DIRECT_LIMIT = 6 * 10**5
+DIRECT_CARRIERS = sorted(k for k, ps in CARRIERS.items() if 3**ps.carrier.n <= DIRECT_LIMIT)
+SMALL_CARRIERS = sorted(k for k, ps in CARRIERS.items() if ps.carrier.n <= 5)
+
+
+def fuzzy_check(kind):
+    """The fuzzy checker of a kind, without the top-at-zero requirement."""
+    if kind == BI:
+        return is_fuzzy_h_bi_ideal
+    if kind == QUASI:
+        return is_fuzzy_h_quasi_ideal
+    return partial(is_fuzzy_h_ideal, sidedness=kind)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +133,10 @@ class TestHClosure:
 
     def test_z4_two_closes_to_even(self, ps_z4):
         assert h_closure(ps_z4, [2]).indices() == (0, 2)
+
+    def test_empty_set_closes_to_zero(self, ps_z4):
+        assert h_closure(ps_z4, []).indices() == (0,)
+        assert [h_closure(ps_z4, [], kind).indices() for kind in (BI, QUASI)] == [(), ()]
 
     def test_whole_carrier_fixed(self, ps_z4):
         assert h_closure(ps_z4, range(4)).indices() == (0, 1, 2, 3)
@@ -142,6 +201,22 @@ class TestEnumerateHIdeals:
             masks = {i.mask for i in ideals}
             for a, b in itertools.combinations_with_replacement(ideals, 2):
                 assert a.mask & b.mask in masks
+
+    @pytest.mark.parametrize("kind", [BI, QUASI])
+    def test_bi_quasi_lattices_match_checker_on_matrix_ring(self, kind):
+        # L of Mat(Z2,2x1) acts as the 2x2 matrices over Z2, where quasi-ideals
+        # such as {0, E11} are neither left nor right ideals.
+        ps = build_context(matrix_gamma_hemiring(corpus.zmod_hemiring(2), 2, 1)).l_ps
+        mon = ps.carrier
+        want = []
+        for bits in range(1, 1 << mon.n):
+            members = [i for i in range(mon.n) if bits >> i & 1]
+            if any(not bits >> mon.add[a][b] & 1 for a in members for b in members):
+                continue  # every kind is closed under addition
+            if fuzzy_check(kind)(ps, characteristic(mon, members)).holds:
+                want.append(tuple(members))
+        got = [c.indices() for c in enumerate_h_ideals(ps, kind)]
+        assert got == sorted(want, key=lambda t: (len(t), t))
 
     def test_carrier_cap(self, ps_z4):
         with pytest.raises(CapacityError):
@@ -262,11 +337,29 @@ class TestFamilies:
                     ps, GRID, sid
                 ), (g.name, sid)
 
-    def test_chain_route_equals_filter_route(self, ps_z4):
-        # Force the level-set chain construction with a tiny candidate cap.
-        direct = enumerate_fuzzy_h_ideals(ps_z4, GRID)
-        chained = enumerate_fuzzy_h_ideals(ps_z4, GRID, cap=1)
-        assert [m.values for m in direct.members] == [m.values for m in chained.members]
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("carrier", DIRECT_CARRIERS)
+    def test_cut_family_equals_direct_filter(self, carrier, kind):
+        ps = CARRIERS[carrier]
+        sided = kind not in (BI, QUASI)
+        compared = 0
+        for grid in GRIDS:
+            if len(grid) ** ps.carrier.n > DIRECT_LIMIT:
+                continue
+            if sided:
+                got = enumerate_fuzzy_h_ideals(ps, grid, kind).members
+            elif kind == BI:
+                got = enumerate_fuzzy_h_bi_ideals(ps, grid)
+            else:
+                got = enumerate_fuzzy_h_quasi_ideals(ps, grid)
+            want = direct_filter(ps, grid, fuzzy_check(kind), require_top=sided)
+            assert [m.values for m in got] == want, grid
+            compared += 1
+        assert compared
+
+    def test_h_family_capped(self, ps_z4):
+        with pytest.raises(CapacityError):
+            enumerate_fuzzy_h_ideals(ps_z4, GRID, cap=1)
 
     def test_grid_must_contain_bounds(self, ps_z2):
         with pytest.raises(ValueError):
@@ -340,3 +433,41 @@ class TestLatticeMeet:
             index = {m.values for m in fam.members}
             for a, b in itertools.combinations_with_replacement(fam.members, 2):
                 assert intersect(a, b).values in index
+
+
+@st.composite
+def graded_subsets(draw):
+    """A carrier, grid and kind with a grid-valued subset: uniform, or built
+    from a chain of closed cuts and then perhaps nudged at one element."""
+    carrier = draw(st.sampled_from(SMALL_CARRIERS))
+    grid = [Fraction(v) for v in draw(st.sampled_from(GRIDS))]
+    kind = draw(st.sampled_from(KINDS))
+    ps = CARRIERS[carrier]
+    n = ps.carrier.n
+    if draw(st.booleans()):
+        values = draw(st.lists(st.sampled_from(grid), min_size=n, max_size=n))
+    else:
+        values = [grid[0]] * n
+        seeds = 0
+        for t in reversed(grid[1:]):
+            seeds |= draw(st.integers(0, (1 << n) - 1))
+            cut = _closure_mask(ps, seeds, kind)
+            for x in range(n):
+                if cut >> x & 1 and values[x] == 0:
+                    values[x] = t
+        if draw(st.booleans()):
+            values[draw(st.integers(0, n - 1))] = draw(st.sampled_from(grid))
+    return carrier, kind, make_fuzzy(ps.carrier, values)
+
+
+class TestLevelCuts:
+    """The level-subset theorem behind the cut-family enumerators."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(case=graded_subsets())
+    def test_member_iff_every_cut_closed(self, case):
+        carrier, kind, mu = case
+        ps = CARRIERS[carrier]
+        cuts = {cut_mask(mu, t) for t in mu.values if t > 0}
+        closed = bool(cuts) and all(_closure_mask(ps, c, kind) == c for c in cuts)
+        assert fuzzy_check(kind)(ps, mu).holds == closed
