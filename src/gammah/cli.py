@@ -42,6 +42,9 @@ OK, CHECK_FAILED, INPUT_ERROR, CAPACITY = 0, 1, 2, 3
 # so that no input can stall the run.
 MAX_EXPONENT = 1000
 
+# The carriers a fuzzy file may be over.
+FUZZY_CARRIERS = ("S", "L", "R", "SxS")
+
 
 class InputError(ValueError):
     pass
@@ -99,6 +102,8 @@ def structure_from_doc(doc: dict) -> GammaHemiring:
     if not isinstance(doc, dict):
         raise InputError("structure file must contain a JSON object")
     name = doc.get("name", "structure")
+    if not isinstance(name, str):
+        raise InputError(f"structure name must be a string, not {name!r}")
     s = _monoid_from_doc(doc.get("S", {}), "S", f"{name}:S")
     gam = _monoid_from_doc(doc.get("Gamma", {}), "Gamma", f"{name}:Gamma")
     planes = doc.get("action")
@@ -150,20 +155,14 @@ def fuzzy_from_doc(doc: dict, ctx: corr.CorrespondenceContext, structure_name: s
     if not isinstance(doc, dict):
         raise InputError("fuzzy file must contain a JSON object")
     over = doc.get("over", "S")
-    carriers = {
-        "S": ctx.s_monoid,
-        "L": ctx.l_monoid,
-        "R": ctx.r_monoid,
-        "SxS": ctx.sxs_monoid,
-    }
-    if not isinstance(over, str) or over not in carriers:
+    if not isinstance(over, str) or over not in FUZZY_CARRIERS:
         raise InputError(f"unknown carrier {over!r} (expected S, L, R or SxS)")
     declared = doc.get("structure")
     if declared is not None and declared != structure_name:
         raise InputError(
             f"fuzzy file is for structure {declared!r}, not {structure_name!r}"
         )
-    carrier = carriers[over]
+    carrier = ctx.ps(over).carrier
     index = {e: i for i, e in enumerate(carrier.elements)}
     values = [Fraction(0)] * carrier.n
     raw = doc.get("values", {})
@@ -172,6 +171,8 @@ def fuzzy_from_doc(doc: dict, ctx: corr.CorrespondenceContext, structure_name: s
     for label, v in raw.items():
         if label not in index:
             raise InputError(f"label {label!r} is not an element of {over}")
+        if isinstance(v, bool):
+            raise InputError(f"bad membership value for {label!r}: {v!r} is not a rational")
         try:
             values[index[label]] = unit_rational(_exact(v) if isinstance(v, str) else v)
         except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
@@ -282,7 +283,7 @@ def cmd_check(args) -> int:
     g = _validated(args.structure)
     ctx = corr.build_context(g)
     over, mu = load_fuzzy(args.fuzzy, ctx, g.name)
-    ps = {"S": ctx.s_ps, "L": ctx.l_ps, "R": ctx.r_ps, "SxS": ctx.sxs_ps}[over]
+    ps = ctx.ps(over)
     if args.kind == "h-ideal":
         res = is_fuzzy_h_ideal(ps, mu, args.side)
     elif args.kind == "bi":

@@ -354,14 +354,17 @@ class ProductStructure:
         return self.pair_products[a][b]
 
 
+def action_columns(g: GammaHemiring) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """columns[x][y] = (x g y for g in Gamma): the products of x and y along each g."""
+    ns, ng, act = g.S.n, g.Gamma.n, g.action
+    return tuple(
+        tuple(tuple(act[x][ga][y] for ga in range(ng)) for y in range(ns)) for x in range(ns)
+    )
+
+
 def as_product_structure(g: GammaHemiring) -> ProductStructure:
     """pair_products(a, b) = {a g b : g in Gamma}."""
-    ns, ng = g.S.n, g.Gamma.n
-    act = g.action
-    table = tuple(
-        tuple(tuple(sorted({act[a][ga][b] for ga in range(ng)})) for b in range(ns))
-        for a in range(ns)
-    )
+    table = tuple(tuple(tuple(sorted(set(col))) for col in row) for row in action_columns(g))
     mon = g.S if g.S.name else FiniteMonoid(g.S.elements, g.S.zero, g.S.add, f"{g.name}:S")
     return ProductStructure(mon, table)
 
@@ -407,17 +410,50 @@ def gamma_from_hemiring(h: Hemiring) -> GammaHemiring:
 
 
 def product_monoid(a: FiniteMonoid, b: FiniteMonoid) -> FiniteMonoid:
-    """Componentwise product monoid with labels "(x,y)"."""
-    nb = b.n
-    labels = tuple(f"({x},{y})" for x in a.elements for y in b.elements)
-    zero = a.zero * nb + b.zero
-    add = tuple(
-        tuple(a.add[i1][j1] * nb + b.add[i2][j2] for j1 in range(a.n) for j2 in range(nb))
-        for i1 in range(a.n)
-        for i2 in range(nb)
+    """Componentwise product monoid with labels "(x,y)".
+
+    Memoized on the left factor by the identity of the right one: the same
+    factor objects give the same carrier object.  The entry holds the right
+    factor, so that its id is not reused while the entry lives, unless it is
+    the left factor itself, which would make a reference cycle.
+    """
+
+    def build() -> tuple[FiniteMonoid | None, FiniteMonoid]:
+        nb = b.n
+        labels = tuple(f"({x},{y})" for x in a.elements for y in b.elements)
+        zero = a.zero * nb + b.zero
+        add = tuple(
+            tuple(a.add[i1][j1] * nb + b.add[i2][j2] for j1 in range(a.n) for j2 in range(nb))
+            for i1 in range(a.n)
+            for i2 in range(nb)
+        )
+        name = f"{a.name}x{b.name}" if (a.name or b.name) else ""
+        return None if b is a else b, FiniteMonoid(labels, zero, add, name)
+
+    return _memo(a, ("product", id(b)), build)[1]
+
+
+def pair_product_structure(
+    carrier: FiniteMonoid, columns: Sequence[Sequence[tuple[int, ...]]]
+) -> ProductStructure:
+    """The product structure of carrier x carrier, multiplied componentwise.
+
+    columns[x][y] lists the products of x and y along each parameter: the
+    Gamma-column (x g y over g in Gamma) of a gamma-hemiring, or the single
+    product (x*y,) of a hemiring.  The products of (x1,x2) and (y1,y2) are
+    the pairs read in step along the columns of (x1,y1) and (x2,y2), so they
+    depend on those two columns alone.  Equal columns are interned and each
+    pair of distinct columns is computed once, so a gamma-hemiring's S x S
+    never builds the |S|^4|Gamma| action table of product(g, g).
+    """
+    n = carrier.n
+    ids: dict[tuple[int, ...], int] = {}
+    col_id = [[ids.setdefault(col, len(ids)) for col in row] for row in columns]
+    prods = [[tuple(sorted({u * n + v for u, v in zip(c1, c2)})) for c2 in ids] for c1 in ids]
+    table = tuple(
+        tuple(prods[c1][c2] for c1 in row1 for c2 in row2) for row1 in col_id for row2 in col_id
     )
-    name = f"{a.name}x{b.name}" if (a.name or b.name) else ""
-    return FiniteMonoid(labels, zero, add, name)
+    return ProductStructure(product_monoid(carrier, carrier), table)
 
 
 def product(g1: GammaHemiring, g2: GammaHemiring) -> GammaHemiring:

@@ -16,8 +16,10 @@ from .core import (
     FiniteMonoid,
     GammaHemiring,
     ProductStructure,
+    _memo,
+    action_columns,
     as_product_structure,
-    product,
+    pair_product_structure,
     product_monoid,
 )
 from .fuzzy import FuzzySubset, additive_closure_mask
@@ -56,8 +58,9 @@ class Side(NamedTuple):
 class CorrespondenceContext:
     """A structure together with its operator hemirings and product carriers.
 
-    `GxG`, `lxl_monoid` and `rxr_monoid` are built on first read: they hold
-    |S|^4|Gamma|, |L|^4 and |R|^4 cells, and most uses of a context need
+    Each carrier is one object, shared by its product structure and by
+    `cartesian`.  The LxL and RxR carriers and structures are built on first
+    read: they hold |L|^4 and |R|^4 cells, and most uses of a context need
     none of them.
     """
 
@@ -78,16 +81,24 @@ class CorrespondenceContext:
     right_embed: tuple[tuple[int, ...], ...] = field(repr=False, default=())
 
     @cached_property
-    def GxG(self) -> GammaHemiring:
-        return product(self.G, self.G)
-
-    @cached_property
     def lxl_monoid(self) -> FiniteMonoid:
         return product_monoid(self.l_monoid, self.l_monoid)
 
     @cached_property
     def rxr_monoid(self) -> FiniteMonoid:
         return product_monoid(self.r_monoid, self.r_monoid)
+
+    def ps(self, which: str) -> ProductStructure:
+        """The product structure of carrier S, L, R, SxS, LxL or RxR."""
+        if which in ("LxL", "RxR"):
+            # A hemiring's products of x and y are its column: the single product.
+            base = self.ps(which[0])
+            build = partial(pair_product_structure, base.carrier, base.pair_products)
+            return _memo(self, which, build)
+        fixed = {"S": self.s_ps, "L": self.l_ps, "R": self.r_ps, "SxS": self.sxs_ps}
+        if which not in fixed:
+            raise ValueError(f"unknown carrier {which!r}")
+        return fixed[which]
 
     def side(self, tag: str) -> Side:
         """The operator hemiring L or R with its embedding table and carriers."""
@@ -97,8 +108,8 @@ class CorrespondenceContext:
 
 
 def _named(g: GammaHemiring) -> GammaHemiring:
-    # Carriers need stable names so product carriers built from them compare
-    # equal wherever they are constructed (context vs. cartesian()).
+    # Carriers need stable names: product carriers are named after them, and
+    # the context's S is the carrier of its product structure.
     s, gam = g.S, g.Gamma
     if s.name and gam.name:
         return g
@@ -109,49 +120,14 @@ def _named(g: GammaHemiring) -> GammaHemiring:
     return GammaHemiring(g.name, s, gam, g.action)
 
 
-def _pair_product_structure(g: GammaHemiring) -> ProductStructure:
-    """The product structure of product(g, g), read off g's action columns.
-
-    The products of (x1,x2) and (y1,y2) are the pairs (x1 g y1, x2 g y2) over
-    g in Gamma, so they depend only on the Gamma-columns of (x1,y1) and
-    (x2,y2).  Equal columns are interned and each distinct pair of columns
-    is computed once, without the |S|^4|Gamma| action table of product(g, g).
-    """
-    ns, ng, act = g.S.n, g.Gamma.n, g.action
-    ids: dict[tuple[int, ...], int] = {}
-    columns = []
-    col_id = []  # col_id[x][y]: the id of the Gamma-column of (x, y)
-    for x in range(ns):
-        row = []
-        for y in range(ns):
-            col = tuple(act[x][ga][y] for ga in range(ng))
-            if col not in ids:
-                ids[col] = len(columns)
-                columns.append(col)
-            row.append(ids[col])
-        col_id.append(row)
-    pairs: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def products(c1: int, c2: int) -> tuple[int, ...]:
-        key = (c1, c2)
-        if key not in pairs:
-            pairs[key] = tuple(sorted({u * ns + v for u, v in zip(columns[c1], columns[c2])}))
-        return pairs[key]
-
-    table = tuple(
-        tuple(products(c1, c2) for c1 in row1 for c2 in row2)
-        for row1 in col_id
-        for row2 in col_id
-    )
-    return ProductStructure(product_monoid(g.S, g.S), table)
-
-
 def build_context(g: GammaHemiring, cap: int | None = None) -> CorrespondenceContext:
     g = _named(g)
     left = build_operator(g, LEFT, cap)
     right = build_operator(g, RIGHT, cap)
     s_ps = as_product_structure(g)
-    sxs_ps = _pair_product_structure(g)
+    l_ps = hemiring_as_product_structure(left)
+    r_ps = hemiring_as_product_structure(right)
+    sxs_ps = pair_product_structure(s_ps.carrier, action_columns(g))
     return CorrespondenceContext(
         G=g,
         L=left,
@@ -159,11 +135,11 @@ def build_context(g: GammaHemiring, cap: int | None = None) -> CorrespondenceCon
         left_unity=find_unity(g, left),
         right_unity=find_unity(g, right),
         s_monoid=s_ps.carrier,
-        l_monoid=left.monoid(),
-        r_monoid=right.monoid(),
+        l_monoid=l_ps.carrier,
+        r_monoid=r_ps.carrier,
         s_ps=s_ps,
-        l_ps=hemiring_as_product_structure(left),
-        r_ps=hemiring_as_product_structure(right),
+        l_ps=l_ps,
+        r_ps=r_ps,
         sxs_monoid=sxs_ps.carrier,
         sxs_ps=sxs_ps,
         left_embed=_embed_table(g, left),

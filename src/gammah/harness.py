@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import correspondence as corr
-from .core import FiniteMonoid, ProductStructure, validate_gamma_hemiring, validate_hemiring
+from .core import validate_gamma_hemiring, validate_hemiring
 from .correspondence import CorrespondenceContext
 from .fuzzy import (
     FuzzySubset,
@@ -115,24 +115,8 @@ def _diff_witness(context: dict, lhs: FuzzySubset, rhs: FuzzySubset) -> dict | N
     return out
 
 
-def _pair_hemiring_ps(op, mon: FiniteMonoid) -> ProductStructure:
-    """Componentwise product of an operator hemiring with itself."""
-    n = op.n
-    mul = op.mul
-    pp = tuple(
-        tuple(
-            (mul[i1][j1] * n + mul[i2][j2],)
-            for j1 in range(n)
-            for j2 in range(n)
-        )
-        for i1 in range(n)
-        for i2 in range(n)
-    )
-    return ProductStructure(mon, pp)
-
-
 class _Families:
-    """Lazy per-run cache of all enumerated families and product structures."""
+    """Lazy per-run cache of all enumerated families."""
 
     def __init__(self, ctx: CorrespondenceContext, grid: tuple[Fraction, ...]):
         self.ctx = ctx
@@ -144,42 +128,32 @@ class _Families:
             self._cache[key] = build()
         return self._cache[key]
 
-    def ps(self, which: str) -> ProductStructure:
-        ctx = self.ctx
-        fixed = {"S": ctx.s_ps, "L": ctx.l_ps, "R": ctx.r_ps, "SxS": ctx.sxs_ps}
-        if which in fixed:
-            return fixed[which]
-        if which not in ("LxL", "RxR"):
-            raise ValueError(f"unknown carrier {which!r}")
-        side = ctx.side(which[0])
-        return self._cached(("ps", which), lambda: _pair_hemiring_ps(side.op, side.pair_monoid))
-
     def fuzzy(self, which: str, sidedness: str = TWO_SIDED) -> FuzzyHIdealFamily:
         return self._cached(
             ("fuzzy", which, sidedness),
-            lambda: enumerate_fuzzy_h_ideals(self.ps(which), self.grid, sidedness),
+            lambda: enumerate_fuzzy_h_ideals(self.ctx.ps(which), self.grid, sidedness),
         )
 
     def crisp(self, which: str, sidedness: str = TWO_SIDED):
         return self._cached(
-            ("crisp", which, sidedness), lambda: enumerate_h_ideals(self.ps(which), sidedness)
+            ("crisp", which, sidedness), lambda: enumerate_h_ideals(self.ctx.ps(which), sidedness)
         )
 
     def bi(self, which: str) -> tuple[FuzzySubset, ...]:
         return self._cached(
-            ("bi", which), lambda: enumerate_fuzzy_h_bi_ideals(self.ps(which), self.grid)
+            ("bi", which), lambda: enumerate_fuzzy_h_bi_ideals(self.ctx.ps(which), self.grid)
         )
 
     def quasi(self, which: str) -> tuple[FuzzySubset, ...]:
         return self._cached(
-            ("quasi", which), lambda: enumerate_fuzzy_h_quasi_ideals(self.ps(which), self.grid)
+            ("quasi", which), lambda: enumerate_fuzzy_h_quasi_ideals(self.ctx.ps(which), self.grid)
         )
 
     def primes(self, which: str, semi: bool = False) -> tuple[FuzzySubset, ...]:
         def build():
             fam = self.fuzzy(which)
             check = is_semiprime_fuzzy_h_ideal if semi else is_prime_fuzzy_h_ideal
-            ps = self.ps(which)
+            ps = self.ctx.ps(which)
             return tuple(z for z in fam.members if check(ps, z, fam).holds)
 
         return self._cached(("primes", which, semi), build)
@@ -224,7 +198,7 @@ def _h_ideal_source(variants: tuple, tag: Callable) -> _Source:
     return _Source(
         variants,
         lambda fams, c, sid: fams.fuzzy(c, sid).members,
-        lambda fams, c, mu, sid: is_fuzzy_h_ideal(fams.ps(c), mu, sid, require_top=True),
+        lambda fams, c, mu, sid: is_fuzzy_h_ideal(fams.ctx.ps(c), mu, sid, require_top=True),
         tag,
     )
 
@@ -236,19 +210,19 @@ PRIME = _Source(
     lambda fams, c, semi: fams.primes(c, semi),
     lambda fams, c, zeta, semi: (
         is_semiprime_fuzzy_h_ideal if semi else is_prime_fuzzy_h_ideal
-    )(fams.ps(c), zeta, fams.fuzzy(c)),
+    )(fams.ctx.ps(c), zeta, fams.fuzzy(c)),
     lambda semi: {"kind": "semiprime" if semi else "prime"},
     "zeta",
 )
 BI = _Source(
     (None,),
     lambda fams, c, _: fams.bi(c),
-    lambda fams, c, mu, _: is_fuzzy_h_bi_ideal(fams.ps(c), mu),
+    lambda fams, c, mu, _: is_fuzzy_h_bi_ideal(fams.ctx.ps(c), mu),
 )
 QUASI = _Source(
     (None,),
     lambda fams, c, _: fams.quasi(c),
-    lambda fams, c, mu, _: is_fuzzy_h_quasi_ideal(fams.ps(c), mu),
+    lambda fams, c, mu, _: is_fuzzy_h_quasi_ideal(fams.ctx.ps(c), mu),
 )
 
 
@@ -519,7 +493,7 @@ def _composition(ctx, fams, sides, product):
     product_fn = generalized_h_product if product == "generalized" else simple_h_product_cached
     members = fams.fuzzy("S").members
     for side in sides:
-        mapper, ps = _map(side, UP), fams.ps(side)
+        mapper, ps = _map(side, UP), fams.ctx.ps(side)
         for mu in members:
             for nu in members:
                 lhs = mapper(ctx, product_fn(ctx.s_ps, mu, nu))

@@ -357,3 +357,19 @@ def element_loop_axioms(g: GammaHemiring, violation_cap: int = 16):
             if act[a][zg][b] != zs or act[b][zg][a] != zs:
                 out.append(("axiom-6", (sl[a], sl[b])))
     return tuple(out[:violation_cap])
+
+
+def pair_hemiring_ps(op, mon) -> ProductStructure:
+    """Componentwise product of an operator hemiring with itself, on carrier mon."""
+    n = op.n
+    mul = op.mul
+    pp = tuple(
+        tuple(
+            (mul[i1][j1] * n + mul[i2][j2],)
+            for j1 in range(n)
+            for j2 in range(n)
+        )
+        for i1 in range(n)
+        for i2 in range(n)
+    )
+    return ProductStructure(mon, pp)

@@ -307,7 +307,14 @@ class TestExitCodeContract:
 
     @pytest.mark.parametrize(
         "path, value",
-        [(("S", "add"), 5), (("action",), [5, 6]), (("Gamma", "elements"), [["0"], "1"])],
+        [
+            (("S", "add"), 5),
+            (("action",), [5, 6]),
+            (("Gamma", "elements"), [["0"], "1"]),
+            (("name",), 5),
+            (("name",), ["x"]),
+            (("name",), None),
+        ],
     )
     def test_malformed_structure(self, capout, tmp_path, path, value):
         doc = json.loads(Path(spath("z2")).read_text())
@@ -331,6 +338,8 @@ class TestExitCodeContract:
             '{"over": ["S"]}',
             '{"values": {"0": 1e-999999999}}',
             '{"values": {"0": "1e-999999999"}}',
+            '{"values": {"0": true, "1": false}}',
+            '{"values": {"0": "1", "1": true}}',
         ],
     )
     def test_malformed_fuzzy(self, capout, tmp_path, text):

@@ -3,9 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+import gammah.core
 import gammah.correspondence
 from gammah import corpus
-from gammah.core import as_product_structure, matrix_gamma_hemiring, product, product_monoid
+from gammah.core import (
+    as_product_structure,
+    matrix_gamma_hemiring,
+    pair_product_structure,
+    product,
+    product_monoid,
+)
 from gammah.correspondence import (
     build_context,
     crisp_plus,
@@ -30,6 +37,7 @@ from gammah.fuzzy import (
 )
 from gammah.ideals import crisp, enumerate_fuzzy_h_ideals, enumerate_h_ideals
 from gammah.operators import FormalSum, realize, rho_equivalent
+from oracles import pair_hemiring_ps
 
 GRID = ("0", "1/2", "1")
 
@@ -220,7 +228,6 @@ class TestContext:
             ctx = build_context(g)
             assert ctx.lxl_monoid == product_monoid(ctx.l_monoid, ctx.l_monoid), g.name
             assert ctx.rxr_monoid == product_monoid(ctx.r_monoid, ctx.r_monoid), g.name
-            assert ctx.GxG == product(ctx.G, ctx.G), g.name
             assert ctx.side("L").pair_monoid is ctx.lxl_monoid
             assert ctx.side("R").pair_monoid is ctx.rxr_monoid
 
@@ -231,15 +238,46 @@ class TestContext:
             assert a.n * b.n <= 16 * 16, f"a {a.n}x{b.n} product carrier was built"
             return product_monoid(a, b)
 
-        def refuse(*args):
-            raise AssertionError("GxG was built")
+        def guarded_pairs(carrier, columns):
+            assert carrier.n <= 16, f"a pair structure on {carrier.n} elements was built"
+            return pair_product_structure(carrier, columns)
 
-        monkeypatch.setattr(gammah.correspondence, "product_monoid", guarded)
-        monkeypatch.setattr(gammah.correspondence, "product", refuse)
+        for module in (gammah.core, gammah.correspondence):
+            monkeypatch.setattr(module, "product_monoid", guarded)
+        monkeypatch.setattr(gammah.correspondence, "pair_product_structure", guarded_pairs)
         ctx = build_context(matrix_gamma_hemiring(corpus.zmod_hemiring(4), 2, 1))
         assert ctx.L.n == 256
         sigma = characteristic(ctx.s_monoid, [ctx.s_monoid.zero])
         plus(ctx, plus_prime(ctx, sigma))
         ctx.side("L")
         ctx.side("R")
-        assert not {"lxl_monoid", "rxr_monoid", "GxG"} & set(vars(ctx))
+        assert not {"lxl_monoid", "rxr_monoid", "_memo"} & set(vars(ctx))
+
+    def test_one_object_per_carrier(self, all_corpus):
+        for g in all_corpus:
+            ctx = build_context(g)
+            own = {
+                "S": ctx.s_monoid, "L": ctx.l_monoid, "R": ctx.r_monoid,
+                "SxS": ctx.sxs_monoid, "LxL": ctx.lxl_monoid, "RxR": ctx.rxr_monoid,
+            }
+            for which, carrier in own.items():
+                assert ctx.ps(which).carrier is carrier, (g.name, which)
+            for which in ("S", "L", "R"):
+                mu = constant(own[which], 1)
+                assert cartesian(mu, mu).carrier is own[f"{which}x{which}"], (g.name, which)
+
+
+PAIR_STRUCTURES = [*corpus.standard_corpus(), corpus.zmod(5), corpus.zero_action(2)]
+
+
+class TestPairStructures:
+    @pytest.mark.parametrize("g", PAIR_STRUCTURES, ids=lambda g: g.name)
+    def test_pair_structures_match_references(self, g):
+        ctx = build_context(g)
+        assert ctx.ps("LxL") == pair_hemiring_ps(ctx.L, ctx.lxl_monoid)
+        assert ctx.ps("RxR") == pair_hemiring_ps(ctx.R, ctx.rxr_monoid)
+        assert ctx.ps("SxS") == as_product_structure(product(ctx.G, ctx.G))
+
+    def test_unknown_carrier(self, ctx_z2):
+        with pytest.raises(ValueError, match="unknown carrier 'X'"):
+            ctx_z2.ps("X")

@@ -150,7 +150,7 @@ class TestFamilies:
         ctx = build_context(mat_b)
         grid = tuple(Fraction(v) for v in GRID)
         fams = _Families(ctx, grid)
-        ps = fams.ps("L")
+        ps = ctx.ps("L")
         for members, check in (
             (fams.bi("L"), is_fuzzy_h_bi_ideal),
             (fams.quasi("L"), is_fuzzy_h_quasi_ideal),
