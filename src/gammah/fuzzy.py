@@ -197,6 +197,31 @@ def additive_closure_mask(mon: FiniteMonoid, mask: int) -> int:
     return closed
 
 
+def product_mask(ppm: tuple[tuple[int, ...], ...], amask: int, bmask: int) -> int:
+    """Bitmask of every product a.g.b with a in amask, b in bmask; ppm from pair_product_masks."""
+    out = 0
+    bs = list(_bits(bmask))
+    for a in _bits(amask):
+        row = ppm[a]
+        for b in bs:
+            out |= row[b]
+    return out
+
+
+def h_hull(add: Sequence[Sequence[int]], same: Sequence[int], pool: int, skip: int = 0) -> int:
+    """Bitmask of every x outside skip with x + a + z == b + z for some z, a and b in pool.
+
+    add is the carrier's addition table and same its same_sum_rows, which the
+    caller fetches, so the scan reads the relation its own module binds.
+    """
+    bits = list(_bits(pool))
+    hit = 0
+    for x, row in enumerate(add):
+        if not skip >> x & 1 and any(same[row[u]] & pool for u in bits):
+            hit |= 1 << x
+    return hit
+
+
 def _thresholds(mu: FuzzySubset, theta: FuzzySubset) -> list[Fraction]:
     return sorted({v for v in mu.values + theta.values if v > 0}, reverse=True)
 
@@ -208,33 +233,17 @@ def _level_product(
     close: bool,
 ) -> FuzzySubset:
     mon = ps.carrier
-    n = mon.n
-    add = mon.add
     same = same_sum_rows(mon)
     ppm = pair_product_masks(ps)
-    out = [ZERO] * n
+    out = [ZERO] * mon.n
     assigned = 0
-    full = (1 << n) - 1
+    full = (1 << mon.n) - 1
     for t in _thresholds(mu, theta):
-        amask = cut_mask(mu, t)
-        bmask = cut_mask(theta, t)
-        base = 0
-        for a in _bits(amask):
-            row = ppm[a]
-            for b in _bits(bmask):
-                base |= row[b]
+        base = product_mask(ppm, cut_mask(mu, t), cut_mask(theta, t))
         if not base:
             continue
         pool = additive_closure_mask(mon, base) if close else base
-        pool_bits = list(_bits(pool))
-        hit = 0
-        for x in range(n):
-            if assigned >> x & 1:
-                continue
-            row = add[x]
-            if any(same[row[u]] & pool for u in pool_bits):
-                hit |= 1 << x
-        fresh = hit & ~assigned
+        fresh = h_hull(mon.add, same, pool, assigned)
         for x in _bits(fresh):
             out[x] = t
         assigned |= fresh

@@ -1,9 +1,10 @@
 """Crisp and fuzzy h-ideal machinery: checkers, closures, enumeration.
 
-The h-condition (x + a + z == b + z forces x into the set) is scanned through
-the shared same-sum relation from the fuzzy module; checkers take a fast
-bitmask pass and only on failure rescan quadruples in lexicographic
-(x, a, b, z) order, so witnesses are reproducible.
+The h-condition (x + a + z == b + z forces x into the set) is scanned by
+fuzzy.h_hull, the one hull kernel under the h-products, closures and checks,
+over the same-sum relation each caller fetches through this module's
+same_sum_rows; checkers take that bitmask pass and only on failure rescan
+quadruples in lexicographic (x, a, b, z) order, so witnesses are reproducible.
 
 Families are enumerated through level cuts mu_t = {x : mu(x) >= t}.  Every
 fuzzy condition here reads "mu(out) >= min of mu(inputs)" (additivity, the
@@ -12,8 +13,9 @@ exactly when, at t = that min, the inputs lie in mu_t and the output does not.
 The quasi condition reads by cuts too: cut_t(mu oh chi) = hull(mu_t . S).  So a
 grid-valued mu is a member exactly when it is nonzero (for h-ideals: 1 at
 zero) and each nonempty positive cut is a closed set of the kind (Das 1981;
-Liu 1982).  The closed sets form a Moore family (_closure_mask), listed by
-enumerate_h_ideals; _cut_family walks the antitone chains of cuts over them.
+Liu 1982).  The closed sets form a Moore family (_closure_mask), listed and
+certified by enumerate_h_ideals; _cut_family walks the antitone chains of cuts
+over them, each of which the theorem makes a member.
 """
 
 from __future__ import annotations
@@ -30,14 +32,17 @@ from .fuzzy import (
     ZERO,
     FuzzySubset,
     _bits,
+    additive_closure_mask,
     characteristic,
     constant,
     cut_mask,
     generalized_h_product,
+    h_hull,
     intersect,
     same_sum_rows,
     is_subset,
     pair_product_masks,
+    product_mask,
     simple_h_product,
     unit_rational,
 )
@@ -180,22 +185,12 @@ def is_ideal(ps: ProductStructure, a: CrispSubset, kind: IdealKind) -> CheckResu
                 if row[x] & ~mask:
                     p = next(q for q in ps.pair_products[i][x] if not mask >> q & 1)
                     return _fail("right-absorbing", {"a": lab[i], "x": lab[x], "ax": lab[p]})
-    if kind.flavor == "h-ideal":
-        same = same_sum_rows(mon)
-        violated = False
-        for x in range(mon.n):
-            if mask >> x & 1:
-                continue
-            row = add[x]
-            if any(same[row[i]] & mask for i in idx):
-                violated = True
-                break
-        if violated:
-            witness = _h_witness(
-                mon,
-                lambda x, a, b: not mask >> x & 1 and mask >> a & 1 and mask >> b & 1,
-            )
-            return _fail("h-condition", witness)
+    if kind.flavor == "h-ideal" and h_hull(add, same_sum_rows(mon), mask, mask):
+        witness = _h_witness(
+            mon,
+            lambda x, a, b: not mask >> x & 1 and mask >> a & 1 and mask >> b & 1,
+        )
+        return _fail("h-condition", witness)
     return _ok()
 
 
@@ -203,61 +198,45 @@ def is_h_ideal(ps: ProductStructure, a: CrispSubset, sidedness: str = TWO_SIDED)
     return is_ideal(ps, a, IdealKind(sidedness, "h-ideal"))
 
 
-def _products(ppm: tuple[tuple[int, ...], ...], amask: int, bmask: int) -> int:
-    """Bitmask of every product a.g.b with a in amask and b in bmask."""
-    out = 0
-    bs = list(_bits(bmask))
-    for a in _bits(amask):
-        row = ppm[a]
-        for b in bs:
-            out |= row[b]
-    return out
-
-
 def _closure_mask(ps: ProductStructure, mask: int, kind: str) -> int:
     """Least closed set of a kind (a sidedness, BI or QUASI) containing mask.
 
-    A is closed when A + A lies in A, x lies in A whenever x + a + z == b + z
-    with a, b in A, and by kind: zero in A and S.A (left), A.S (right) or
-    both in A, the crisp h-ideals; A.A and (A.S).A in A (BI); hull(A.S) &
-    hull(S.A) in A (QUASI), hull being the 1-cut of generalized_h_product.
-    Each rule r is monotone, so iterating A |= r(A) reaches the least closed
-    superset, and the closed sets form a Moore family: S is closed, and for
-    closed A, B each r(A & B) lies in r(A) & r(B), within A & B.  For QUASI:
-    hull((A&B).S) & hull(S.(A&B)) lies in hull(A.S) & hull(S.A), within A.
-    Nonempty closed sets hold zero (0 + a + 0 == a + 0); the empty set is
-    closed for BI and QUASI only.
+    A is closed when A + A lies in A, h_hull(A) lies in A (x + a + z == b + z
+    with a, b in A puts x in A), and by kind: zero in A and S.A (left), A.S
+    (right) or both in A, the crisp h-ideals; A.A and (A.S).A in A (BI);
+    hull(A.S) & hull(S.A) in A (QUASI), where hull(P) = h_hull of the
+    additive closure of P, the 1-cut of generalized_h_product(chi_A, 1) and
+    of (1, chi_A).  Each rule r is monotone, so iterating A |= r(A) reaches
+    the least closed superset, and the closed sets form a Moore family: S is
+    closed, and for closed A, B each r(A & B) lies in r(A) & r(B), within
+    A & B.  For QUASI: hull((A&B).S) & hull(S.(A&B)) lies in hull(A.S) &
+    hull(S.A), within A.  Nonempty closed sets hold zero (0 + a + 0 == a + 0);
+    the empty set is closed for BI and QUASI only.
     """
     mon = ps.carrier
     add = mon.add
     same = same_sum_rows(mon)
     ppm = pair_product_masks(ps)
     full = (1 << mon.n) - 1
+
+    def hull(pool: int) -> int:
+        return h_hull(add, same, additive_closure_mask(mon, pool))
+
     if kind in SIDEDNESS:
         mask |= 1 << mon.zero
     while True:
-        members = list(_bits(mask))
+        mask = additive_closure_mask(mon, mask)
         out = mask
-        for i in members:
-            row = add[i]
-            for j in members:
-                out |= 1 << row[j]
         if kind in (TWO_SIDED, LEFT):
-            out |= _products(ppm, full, mask)
+            out |= product_mask(ppm, full, mask)
         if kind in (TWO_SIDED, RIGHT):
-            out |= _products(ppm, mask, full)
+            out |= product_mask(ppm, mask, full)
         if kind == BI:
-            out |= _products(ppm, mask, mask) | _products(ppm, _products(ppm, mask, full), mask)
+            out |= product_mask(ppm, mask, mask)
+            out |= product_mask(ppm, product_mask(ppm, mask, full), mask)
         if kind == QUASI:
-            chi, top = characteristic(mon, members), constant(mon, ONE)
-            hull_as = cut_mask(generalized_h_product(ps, chi, top), ONE)
-            out |= hull_as & cut_mask(generalized_h_product(ps, top, chi), ONE)
-        for x in range(mon.n):
-            if out >> x & 1:
-                continue
-            row = add[x]
-            if any(same[row[a]] & mask for a in members):
-                out |= 1 << x
+            out |= hull(product_mask(ppm, mask, full)) & hull(product_mask(ppm, full, mask))
+        out |= h_hull(add, same, mask, out)
         if out == mask:
             return mask
         mask = out
@@ -265,6 +244,7 @@ def _closure_mask(ps: ProductStructure, mask: int, kind: str) -> int:
 
 def h_closure(ps: ProductStructure, a: CrispSubset | Iterable[int], sidedness: str = TWO_SIDED) -> CrispSubset:
     """Least closed set of a kind (by default a two-sided h-ideal) containing the given set."""
+    _require_kind(sidedness)
     mon = ps.carrier
     if isinstance(a, CrispSubset):
         if a.carrier != mon:
@@ -279,15 +259,16 @@ def enumerate_h_ideals(
     ps: ProductStructure,
     sidedness: str = TWO_SIDED,
     cap: int | None = None,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
 ) -> list[CrispSubset]:
     """All sided h-ideals, or with sidedness BI or QUASI all nonempty closed sets.
 
     Closed sets form a Moore family (_closure_mask), so each is the join of
     the principal closures of its elements: closing the principals under
-    pairwise join enumerates the lattice without walking 2^n subsets.  Each
-    result is re-verified by the kind's fuzzy checker on its characteristic
-    function.  Sorted by size, then lexicographically.
+    pairwise join enumerates the lattice without walking 2^n subsets; more
+    than DEFAULT_LATTICE_CAP closed sets raise CapacityError.  Each result is
+    re-verified by the kind's fuzzy checker on its characteristic function,
+    the certificate _cut_family relies on.  Sorted by size, then
+    lexicographically.
     """
     check = _checker(sidedness)
     mon = ps.carrier
@@ -309,8 +290,8 @@ def enumerate_h_ideals(
                 if j not in found:
                     found.add(j)
                     fresh.append(j)
-                    if len(found) > lattice_cap:
-                        raise CapacityError(f"h-ideal lattice grew beyond {lattice_cap}")
+                    if len(found) > DEFAULT_LATTICE_CAP:
+                        raise CapacityError(f"h-ideal lattice grew beyond {DEFAULT_LATTICE_CAP}")
         worklist = fresh
     for m in found:
         res = check(ps, characteristic(mon, _bits(m)))
@@ -371,20 +352,8 @@ def _fuzzy_h_condition(ps: ProductStructure, mu: FuzzySubset) -> CheckResult | N
     add = mon.add
     same = same_sum_rows(mon)
     vals = mu.values
-    violated = False
-    for t in sorted({v for v in vals if v > 0}):
-        cut = cut_mask(mu, t)
-        cut_bits = list(_bits(cut))
-        for x in range(mon.n):
-            if vals[x] >= t:
-                continue
-            row = add[x]
-            if any(same[row[a]] & cut for a in cut_bits):
-                violated = True
-                break
-        if violated:
-            break
-    if violated:
+    cuts = (cut_mask(mu, t) for t in set(vals) if t > 0)
+    if any(h_hull(add, same, cut, cut) for cut in cuts):
         witness = _h_witness(mon, lambda x, a, b: vals[x] < min(vals[a], vals[b]))
         return _fail("h-condition", witness)
     return None
@@ -452,10 +421,14 @@ def is_fuzzy_h_quasi_ideal(ps: ProductStructure, mu: FuzzySubset) -> CheckResult
     return _fuzzy_h_condition(ps, mu) or _ok()
 
 
-def _checker(kind: str) -> Callable[[ProductStructure, FuzzySubset], CheckResult]:
-    """The fuzzy membership test of a kind; for a sidedness, with top at zero."""
+def _require_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
+
+
+def _checker(kind: str) -> Callable[[ProductStructure, FuzzySubset], CheckResult]:
+    """The fuzzy membership test of a kind; for a sidedness, with top at zero."""
+    _require_kind(kind)
     if kind in SIDEDNESS:
         return partial(is_fuzzy_h_ideal, sidedness=kind, require_top=True)
     return is_fuzzy_h_bi_ideal if kind == BI else is_fuzzy_h_quasi_ideal
@@ -490,12 +463,14 @@ def _cut_family(
     C_1 >= ... >= C_k of closed sets with C_1 nonempty, and for a sidedness
     C_k nonempty (mu(zero) = 1); the chain gives mu(x) = max{t_j : x in C_j},
     or 0.  For BI and QUASI the cuts above C_1 may be empty.  More chains
-    than the candidate cap raise CapacityError; each member is re-checked.
+    than the candidate cap raise CapacityError.  Members are not re-checked:
+    enumerate_h_ideals has verified every lattice element with the kind's
+    checker, every cut here is such an element, and the theorem then makes
+    each chain a member.
     """
     levels = [t for t in _check_grid(grid) if t > 0]
     mon = ps.carrier
     limit = _cap(CANDIDATE_CAP_ENV, DEFAULT_CANDIDATE_CAP, cap)
-    check = _checker(kind)
     lattice = [c.mask for c in enumerate_h_ideals(ps, kind)]
     upper = lattice if kind in SIDEDNESS else lattice + [0]
     members: list[FuzzySubset] = []
@@ -514,10 +489,6 @@ def _cut_family(
             walk(cuts + [m])
 
     walk([])
-    for mu in members:
-        res = check(ps, mu)
-        if not res.holds:
-            raise AssertionError(f"chain produced a non-member: {res.describe()}")
     members.sort(key=lambda m: m.values)
     return tuple(members)
 

@@ -373,3 +373,38 @@ def pair_hemiring_ps(op, mon) -> ProductStructure:
         for i2 in range(n)
     )
     return ProductStructure(mon, pp)
+
+
+def product_cut_quasi_closure(ps: ProductStructure, mask: int) -> int:
+    """Least quasi-closed superset of mask, with the quasi rule read off h-products.
+
+    The former library closure for the quasi kind: hull(A.S) & hull(S.A) is
+    the meet of the 1-cuts of generalized_h_product(chi_A, 1) and
+    generalized_h_product(1, chi_A); A + A and the h-condition are added one
+    step per round from the same-sum relation.
+    """
+    from gammah.fuzzy import generalized_h_product, same_sum_rows
+
+    mon = ps.carrier
+    n = mon.n
+    add = mon.add
+    same = same_sum_rows(mon)
+    one = Fraction(1)
+    top = FuzzySubset(mon, (one,) * n)
+    while True:
+        members = [i for i in range(n) if mask >> i & 1]
+        chi = FuzzySubset(mon, tuple(one if mask >> i & 1 else ZERO for i in range(n)))
+        left = generalized_h_product(ps, chi, top).values
+        right = generalized_h_product(ps, top, chi).values
+        out = mask
+        for x in range(n):
+            if left[x] == one and right[x] == one:
+                out |= 1 << x
+            if any(same[add[x][a]] & mask for a in members):
+                out |= 1 << x
+        for a in members:
+            for b in members:
+                out |= 1 << add[a][b]
+        if out == mask:
+            return mask
+        mask = out

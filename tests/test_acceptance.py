@@ -43,9 +43,10 @@ from gammah.fuzzy import (
     generalized_h_product,
     grid_subsets,
     same_sum_rows,
+    simple_h_product,
 )
 from gammah.harness import run_check, run_suite
-from gammah.ideals import enumerate_h_ideals
+from gammah.ideals import crisp, enumerate_h_ideals, h_closure, is_fuzzy_h_ideal, is_h_ideal
 from gammah.operators import build_operator
 from oracles import (
     brute_fuzzy_family,
@@ -499,6 +500,31 @@ def test_fault_z_skip_caught_by_oracle_gate(monkeypatch):
     assert not equals(corrupted, honest)
     assert honest.values == (1, 1)
     assert corrupted.values == (1, 0)
+
+
+def _chi0(ps):
+    return FuzzySubset(ps.carrier, (Fraction(1), Fraction(0)))
+
+
+# Each h-scan of the library on B, with an input whose answer needs z.
+H_SCANS = {
+    "is_h_ideal": lambda ps: is_h_ideal(ps, crisp(ps.carrier, [0])).holds,
+    "h_closure": lambda ps: h_closure(ps, [0]).indices(),
+    "h_closure-quasi": lambda ps: h_closure(ps, [0], "quasi").indices(),
+    "is_fuzzy_h_ideal": lambda ps: is_fuzzy_h_ideal(ps, _chi0(ps)).holds,
+    "simple_h_product": lambda ps: simple_h_product(ps, _chi0(ps), _chi0(ps)).values,
+    "generalized_h_product": lambda ps: generalized_h_product(ps, _chi0(ps), _chi0(ps)).values,
+}
+
+
+@pytest.mark.parametrize("scan", sorted(H_SCANS))
+def test_fault_z_skip_reaches_every_h_scan(monkeypatch, scan):
+    """Supplementary: every h-scan reads same_sum_rows through the patched seam."""
+    ps = as_product_structure(corpus.boolean())
+    honest = H_SCANS[scan](ps)
+    monkeypatch.setattr(gammah.fuzzy, "same_sum_rows", corrupted_same_sum_rows)
+    monkeypatch.setattr(gammah.ideals, "same_sum_rows", corrupted_same_sum_rows)
+    assert H_SCANS[scan](ps) != honest
 
 
 def test_fault_orientation_caught_on_noncommutative_structure(monkeypatch):

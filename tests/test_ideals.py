@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gammah.ideals
 from gammah import corpus
 from gammah.core import (
     CapacityError,
@@ -14,9 +15,17 @@ from gammah.core import (
     as_product_structure,
     from_hemiring,
     matrix_gamma_hemiring,
+    product,
 )
 from gammah.correspondence import build_context
-from gammah.fuzzy import characteristic, constant, cut_mask, intersect, make_fuzzy
+from gammah.fuzzy import (
+    additive_closure_mask,
+    characteristic,
+    constant,
+    cut_mask,
+    intersect,
+    make_fuzzy,
+)
 from gammah.ideals import (
     BI,
     QUASI,
@@ -36,7 +45,13 @@ from gammah.ideals import (
     is_prime_fuzzy_h_ideal,
     is_semiprime_fuzzy_h_ideal,
 )
-from oracles import brute_fuzzy_family, brute_h_ideals, closure_subsets_h_ideals, direct_filter
+from oracles import (
+    brute_fuzzy_family,
+    brute_h_ideals,
+    closure_subsets_h_ideals,
+    direct_filter,
+    product_cut_quasi_closure,
+)
 
 GRID = ("0", "1/2", "1")
 GRIDS = (GRID, ("0", "1/3", "2/3", "1"))
@@ -68,6 +83,14 @@ CARRIERS = {
     )
     for which, ps in (("S", ctx.s_ps), ("L", ctx.l_ps), ("R", ctx.r_ps))
 }
+MATRIX_RING = "Mat(Z2,2x1)-L"
+
+
+def matrix_ring_left():
+    """L of Mat(Z2,2x1): the 2x2 matrices over Z2, a noncommutative ring."""
+    return build_context(matrix_gamma_hemiring(corpus.zmod_hemiring(2), 2, 1)).l_ps
+
+
 DIRECT_LIMIT = 6 * 10**5
 DIRECT_CARRIERS = sorted(k for k, ps in CARRIERS.items() if 3**ps.carrier.n <= DIRECT_LIMIT)
 SMALL_CARRIERS = sorted(k for k, ps in CARRIERS.items() if ps.carrier.n <= 5)
@@ -140,6 +163,24 @@ class TestHClosure:
 
     def test_whole_carrier_fixed(self, ps_z4):
         assert h_closure(ps_z4, range(4)).indices() == (0, 1, 2, 3)
+
+    def test_unknown_kind_rejected(self):
+        ps = build_context(corpus.z2xz2()).s_ps
+        one_one = ps.carrier.elements.index("(1,1)")
+        assert len(h_closure(ps, [one_one], "two-sided").indices()) == 4
+        with pytest.raises(ValueError):
+            h_closure(ps, [one_one], "twosided")
+
+    @pytest.mark.parametrize("carrier", sorted(CARRIERS) + [MATRIX_RING])
+    def test_quasi_closure_matches_h_product_cuts(self, carrier):
+        """The quasi rule hull(A.S) & hull(S.A) equals the meet of the 1-cuts
+        of generalized_h_product(chi_A, 1) and (1, chi_A).  Both closures are
+        additively closed supersets, so the closure of a mask is the closure
+        of its additive closure, and the additively closed masks decide all."""
+        ps = matrix_ring_left() if carrier == MATRIX_RING else CARRIERS[carrier]
+        mon = ps.carrier
+        for mask in {additive_closure_mask(mon, m) for m in range(1 << mon.n)}:
+            assert _closure_mask(ps, mask, QUASI) == product_cut_quasi_closure(ps, mask), mask
 
     def test_closure_is_idempotent_and_minimal(self, ps_z4):
         for bits in range(1, 16):
@@ -221,6 +262,16 @@ class TestEnumerateHIdeals:
     def test_carrier_cap(self, ps_z4):
         with pytest.raises(CapacityError):
             enumerate_h_ideals(ps_z4, cap=2)
+
+    def test_lattice_cap(self, monkeypatch):
+        # The Klein group with the zero action: the principal closures are
+        # {0} and the three lines {0, x}; only a join reaches the whole group.
+        ps = as_product_structure(product(corpus.zero_action(2), corpus.zero_action(2)))
+        assert len({_closure_mask(ps, 1 << i, "two-sided") for i in range(4)}) == 4
+        assert len(enumerate_h_ideals(ps)) == 5
+        monkeypatch.setattr(gammah.ideals, "DEFAULT_LATTICE_CAP", 4)
+        with pytest.raises(CapacityError):
+            enumerate_h_ideals(ps)
 
 
 class TestFuzzyHIdealChecker:
