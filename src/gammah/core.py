@@ -103,18 +103,12 @@ class FiniteMonoid:
     def n(self) -> int:
         return len(self.elements)
 
-    def plus(self, i: int, j: int) -> int:
-        return self.add[i][j]
-
     def add_all(self, indices: Iterable[int]) -> int:
         total = self.zero
         tbl = self.add
         for i in indices:
             total = tbl[total][i]
         return total
-
-    def label(self, i: int) -> str:
-        return self.elements[i]
 
     def index_of(self, label: str) -> int:
         return _memo(self, "index", lambda: {e: i for i, e in enumerate(self.elements)})[label]
@@ -349,9 +343,6 @@ class ProductStructure:
 
     carrier: FiniteMonoid
     pair_products: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def products(self, a: int, b: int) -> tuple[int, ...]:
-        return self.pair_products[a][b]
 
 
 def action_columns(g: GammaHemiring) -> tuple[tuple[tuple[int, ...], ...], ...]:

@@ -40,9 +40,6 @@ class FuzzySubset:
     def __call__(self, i: int) -> Fraction:
         return self.values[i]
 
-    def support(self) -> frozenset[int]:
-        return frozenset(i for i, v in enumerate(self.values) if v > 0)
-
     def is_constant(self) -> bool:
         return len(set(self.values)) == 1
 

@@ -28,6 +28,7 @@ from .fuzzy import (
     generalized_h_product,
     intersect,
     is_subset,
+    simple_h_product,
     unit_rational,
 )
 from .ideals import (
@@ -45,7 +46,6 @@ from .ideals import (
     is_fuzzy_h_quasi_ideal,
     is_prime_fuzzy_h_ideal,
     is_semiprime_fuzzy_h_ideal,
-    simple_h_product_cached,
 )
 from .operators import FormalSum, formal_product, realize
 
@@ -309,7 +309,7 @@ def _check_gamma_subset(ctx, fams):
     ps = ctx.s_ps
     for a in members:
         for b in members:
-            simple = simple_h_product_cached(ps, a, b)
+            simple = simple_h_product(ps, a, b)
             if not is_subset(simple, generalized_h_product(ps, a, b)):
                 return {"mu": _vals(a), "nu": _vals(b)}
     return None
@@ -490,7 +490,7 @@ def _crisp_lattice_bijection(ctx, fams, side):
 
 def _composition(ctx, fams, sides, product):
     """A forward map of an h-product is the h-product of the forward maps."""
-    product_fn = generalized_h_product if product == "generalized" else simple_h_product_cached
+    product_fn = generalized_h_product if product == "generalized" else simple_h_product
     members = fams.fuzzy("S").members
     for side in sides:
         mapper, ps = _map(side, UP), fams.ctx.ps(side)
@@ -510,20 +510,17 @@ def _composition(ctx, fams, sides, product):
 
 
 def _check_coproduct(ctx, fams):
+    # Each S product is built once, by member position, and read |family|^2 times.
     members = fams.fuzzy("S").members
-    pairs = [(m1, m2, cartesian(m1, m2)) for m1 in members for m2 in members]
-    for mu, mu2, left in pairs:
-        for nu, nu2, right in pairs:
-            lhs = simple_h_product_cached(ctx.sxs_ps, left, right)
-            rhs = cartesian(
-                simple_h_product_cached(ctx.s_ps, mu, nu),
-                simple_h_product_cached(ctx.s_ps, mu2, nu2),
-            )
-            w = _diff_witness(
-                {"mu": _vals(mu), "mu'": _vals(mu2), "nu": _vals(nu), "nu'": _vals(nu2)},
-                lhs,
-                rhs,
-            )
+    prods = [[simple_h_product(ctx.s_ps, mu, nu) for nu in members] for mu in members]
+    at = range(len(members))
+    pairs = [(i, i2, cartesian(members[i], members[i2])) for i in at for i2 in at]
+    for i, i2, left in pairs:
+        for j, j2, right in pairs:
+            lhs = simple_h_product(ctx.sxs_ps, left, right)
+            rhs = cartesian(prods[i][j], prods[i2][j2])
+            named = zip(("mu", "mu'", "nu", "nu'"), (i, i2, j, j2))
+            w = _diff_witness({key: _vals(members[k]) for key, k in named}, lhs, rhs)
             if w:
                 return w
     return None

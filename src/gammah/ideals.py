@@ -23,10 +23,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .core import CapacityError, FiniteMonoid, ProductStructure, _cap, _memo
+from .core import CapacityError, FiniteMonoid, ProductStructure, _cap
 from .fuzzy import (
     ONE,
     ZERO,
@@ -266,11 +265,13 @@ def enumerate_h_ideals(
     the principal closures of its elements: closing the principals under
     pairwise join enumerates the lattice without walking 2^n subsets; more
     than DEFAULT_LATTICE_CAP closed sets raise CapacityError.  Each result is
-    re-verified by the kind's fuzzy checker on its characteristic function,
-    the certificate _cut_family relies on.  Sorted by size, then
-    lexicographically.
+    re-verified, the certificate _cut_family relies on: a sided h-ideal by the
+    crisp definition (is_h_ideal), which by the one-cut case of the
+    level-subset theorem is the fuzzy checker on its characteristic function;
+    a BI or QUASI set by the kind's fuzzy checker on that function.  Sorted by
+    size, then lexicographically.
     """
-    check = _checker(sidedness)
+    _require_kind(sidedness)
     mon = ps.carrier
     limit = _cap(CARRIER_CAP_ENV, DEFAULT_CARRIER_CAP, cap)
     if mon.n > limit:
@@ -293,12 +294,16 @@ def enumerate_h_ideals(
                     if len(found) > DEFAULT_LATTICE_CAP:
                         raise CapacityError(f"h-ideal lattice grew beyond {DEFAULT_LATTICE_CAP}")
         worklist = fresh
-    for m in found:
-        res = check(ps, characteristic(mon, _bits(m)))
-        if not res.holds:
-            raise AssertionError(f"closure produced a non-member: {res.describe()}")
     ideals = [crisp_from_mask(mon, m) for m in found]
     ideals.sort(key=lambda c: (c.size(), c.indices()))
+    fuzzy_check = is_fuzzy_h_bi_ideal if sidedness == BI else is_fuzzy_h_quasi_ideal
+    for c in ideals:
+        if sidedness in SIDEDNESS:
+            res = is_h_ideal(ps, c, sidedness)
+        else:
+            res = fuzzy_check(ps, characteristic(mon, c.indices()))
+        if not res.holds:
+            raise AssertionError(f"closure produced a non-member: {res.describe()}")
     return ideals
 
 
@@ -366,6 +371,8 @@ def is_fuzzy_h_ideal(
     require_top: bool = False,
 ) -> CheckResult:
     # The first failing condition, else a pass.
+    if sidedness not in SIDEDNESS:
+        raise ValueError(f"sidedness must be one of {SIDEDNESS}")
     return _fuzzy_head_checks(ps, mu, sidedness, require_top) or _fuzzy_h_condition(ps, mu) or _ok()
 
 
@@ -426,14 +433,6 @@ def _require_kind(kind: str) -> None:
         raise ValueError(f"kind must be one of {KINDS}")
 
 
-def _checker(kind: str) -> Callable[[ProductStructure, FuzzySubset], CheckResult]:
-    """The fuzzy membership test of a kind; for a sidedness, with top at zero."""
-    _require_kind(kind)
-    if kind in SIDEDNESS:
-        return partial(is_fuzzy_h_ideal, sidedness=kind, require_top=True)
-    return is_fuzzy_h_bi_ideal if kind == BI else is_fuzzy_h_quasi_ideal
-
-
 @dataclass(frozen=True)
 class FuzzyHIdealFamily:
     """All fuzzy sided h-ideals with values in a fixed grid and top at zero."""
@@ -464,9 +463,9 @@ def _cut_family(
     C_k nonempty (mu(zero) = 1); the chain gives mu(x) = max{t_j : x in C_j},
     or 0.  For BI and QUASI the cuts above C_1 may be empty.  More chains
     than the candidate cap raise CapacityError.  Members are not re-checked:
-    enumerate_h_ideals has verified every lattice element with the kind's
-    checker, every cut here is such an element, and the theorem then makes
-    each chain a member.
+    enumerate_h_ideals has certified every lattice element as a closed set
+    of the kind, every cut here is such an element, and the theorem then
+    makes each chain a member.
     """
     levels = [t for t in _check_grid(grid) if t > 0]
     mon = ps.carrier
@@ -518,11 +517,6 @@ def enumerate_fuzzy_h_quasi_ideals(
     return _cut_family(ps, grid, QUASI, cap)
 
 
-def simple_h_product_cached(ps: ProductStructure, mu: FuzzySubset, theta: FuzzySubset) -> FuzzySubset:
-    key = ("simple-h", mu.values, theta.values)
-    return _memo(ps, key, lambda: simple_h_product(ps, mu, theta))
-
-
 RELATIVE = "relative-to-family"
 
 
@@ -545,7 +539,7 @@ def _prime_like(
         else itertools.product(family.members, family.members)
     )
     for mu, nu in pairs:
-        prod = simple_h_product_cached(ps, mu, nu)
+        prod = simple_h_product(ps, mu, nu)
         if is_subset(prod, zeta) and not (is_subset(mu, zeta) or is_subset(nu, zeta)):
             witness = {"mu": [str(v) for v in mu.values]}
             if not semiprime:

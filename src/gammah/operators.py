@@ -149,10 +149,6 @@ class OperatorHemiring:
     def labels(self) -> tuple[str, ...]:
         return tuple(f"op{i}" for i in range(self.n))
 
-    def monoid(self) -> FiniteMonoid:
-        name = f"{'L' if self.side == LEFT else 'R'}({self.structure})"
-        return FiniteMonoid(self.labels(), self.zero, self.add, name)
-
     def hemiring(self) -> Hemiring:
         name = f"{'L' if self.side == LEFT else 'R'}({self.structure})"
         return Hemiring(self.labels(), self.zero, self.add, self.mul, name)

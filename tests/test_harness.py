@@ -123,6 +123,20 @@ class TestRunSuite:
         assert all(r.status == "pass" for r in report.results)
         assert report.grid == (0, 1)
 
+    def test_runs_add_no_per_member_memo(self):
+        # Product structures memoize per-carrier tables only: a second run on
+        # a finer grid, whose families have new members, adds no entry.
+        ctx = build_context(corpus.zmod(4))
+        carriers = ("S", "L", "R", "SxS", "LxL", "RxR")
+
+        def memo_keys():
+            return {w: set(vars(ctx.ps(w)).get("_memo", {})) for w in carriers}
+
+        run_suite(ctx, ("0", "1"))
+        before = memo_keys()
+        run_suite(ctx, GRID)
+        assert memo_keys() == before
+
     def test_deterministic_reports(self, ctx_z2):
         a = run_suite(ctx_z2, GRID, "section3").to_json_dict()
         b = run_suite(ctx_z2, GRID, "section3").to_json_dict()

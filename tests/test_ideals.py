@@ -259,6 +259,32 @@ class TestEnumerateHIdeals:
         got = [c.indices() for c in enumerate_h_ideals(ps, kind)]
         assert got == sorted(want, key=lambda t: (len(t), t))
 
+    @pytest.mark.parametrize("sidedness", ["left", "right"])
+    def test_one_sided_lattices_on_matrix_ring(self, sidedness):
+        # L of Mat(Z2,2x1) acts as the 2x2 matrices over Z2, a simple ring
+        # whose column (row) spaces are left (right) ideals only.
+        ps = build_context(matrix_gamma_hemiring(corpus.zmod_hemiring(2), 2, 1)).l_ps
+        got = [c.indices() for c in enumerate_h_ideals(ps, sidedness)]
+        assert len(got) == 5
+        assert got == brute_h_ideals(ps, sidedness)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "structure, fake",
+        [
+            # Every subset: {1} of Z4 is not even closed under addition.
+            (corpus.zmod(4), lambda ps, mask, kind: mask),
+            # Zero added, nothing closed: {0} of B fails the h-condition only.
+            (corpus.boolean(), lambda ps, mask, kind: mask | 1 << ps.carrier.zero),
+        ],
+        ids=["identity-on-Z4", "zero-only-on-B"],
+    )
+    def test_certificate_rejects_unclosed_sets(self, monkeypatch, structure, fake, kind):
+        ps = as_product_structure(structure)
+        monkeypatch.setattr(gammah.ideals, "_closure_mask", fake)
+        with pytest.raises(AssertionError, match="non-member"):
+            enumerate_h_ideals(ps, kind)
+
     def test_carrier_cap(self, ps_z4):
         with pytest.raises(CapacityError):
             enumerate_h_ideals(ps_z4, cap=2)
@@ -298,6 +324,17 @@ class TestFuzzyHIdealChecker:
         mu = make_fuzzy(ps_z2.carrier, ["1/2", "0"])
         assert is_fuzzy_h_ideal(ps_z2, mu).holds
         assert not is_fuzzy_h_ideal(ps_z2, mu, require_top=True).holds
+
+    def test_unknown_sidedness_rejected(self, z2xz2):
+        # A misspelt sidedness must not skip the product conditions.
+        ps = as_product_structure(z2xz2)
+        mon = ps.carrier
+        chi = characteristic(mon, [mon.index_of("(0,0)"), mon.index_of("(1,1)")])
+        res = is_fuzzy_h_ideal(ps, chi, "two-sided")
+        assert res.condition == "left-product"
+        assert res.witness == {"x": "(0,1)", "y": "(1,1)", "xy": "(0,1)"}
+        with pytest.raises(ValueError, match="sidedness"):
+            is_fuzzy_h_ideal(ps, chi, "twosided")
 
     def test_indicator_bridge(self, all_corpus):
         # crisp h-ideal iff its characteristic function is a fuzzy h-ideal
