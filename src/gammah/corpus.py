@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
 from .core import (
     FiniteMonoid,
     GammaHemiring,
     Hemiring,
+    from_hemiring,
     gamma_from_hemiring,
     matrix_gamma_hemiring,
     product,
@@ -24,12 +27,31 @@ def zmod_hemiring(n: int) -> Hemiring:
     return Hemiring(labels, 0, add, mul, f"Z{n}")
 
 
+def upper_triangular_hemiring() -> Hemiring:
+    """UT2(Z2): the upper-triangular 2x2 matrices over Z2, a ring whose product
+    does not commute.  The label abc is the matrix [[a, b], [0, c]]."""
+    mats = list(itertools.product(range(2), repeat=3))
+    index = {m: i for i, m in enumerate(mats)}
+    add = tuple(
+        tuple(index[tuple((x + y) % 2 for x, y in zip(m1, m2))] for m2 in mats) for m1 in mats
+    )
+    mul = tuple(
+        tuple(index[(a * d, (a * e + b * f) % 2, c * f)] for d, e, f in mats) for a, b, c in mats
+    )
+    return Hemiring(tuple("".join(map(str, m)) for m in mats), 0, add, mul, "UT2(Z2)")
+
+
 def boolean() -> GammaHemiring:
     return gamma_from_hemiring(boolean_hemiring())
 
 
 def zmod(n: int) -> GammaHemiring:
     return gamma_from_hemiring(zmod_hemiring(n))
+
+
+def upper_triangular() -> GammaHemiring:
+    h = upper_triangular_hemiring()
+    return from_hemiring(h.add, h.mul, h.elements, h.zero, h.name)
 
 
 def z2xz2() -> GammaHemiring:

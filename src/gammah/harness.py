@@ -14,12 +14,15 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from . import correspondence as corr
 from .core import validate_gamma_hemiring, validate_hemiring
 from .correspondence import CorrespondenceContext
 from .fuzzy import (
+    ONE,
+    ZERO,
     FuzzySubset,
     cartesian,
     characteristic,
@@ -28,6 +31,7 @@ from .fuzzy import (
     generalized_h_product,
     intersect,
     is_subset,
+    level_set,
     simple_h_product,
     unit_rational,
 )
@@ -509,9 +513,13 @@ def _composition(ctx, fams, sides, product):
 # --- section 4 ---------------------------------------------------------------
 
 
-def _check_coproduct(ctx, fams):
-    # Each S product is built once, by member position, and read |family|^2 times.
-    members = fams.fuzzy("S").members
+def _characteristic(members) -> tuple[FuzzySubset, ...]:
+    """The {0,1}-valued members, in family order: one per crisp lattice element."""
+    return tuple(m for m in members if set(m.values) <= {ZERO, ONE})
+
+
+def _coproduct_scan(ctx, members):
+    # Each S product is built once, by member position, and read |members|^2 times.
     prods = [[simple_h_product(ctx.s_ps, mu, nu) for nu in members] for mu in members]
     at = range(len(members))
     pairs = [(i, i2, cartesian(members[i], members[i2])) for i in at for i2 in at]
@@ -524,6 +532,29 @@ def _check_coproduct(ctx, fams):
             if w:
                 return w
     return None
+
+
+def _check_coproduct(ctx, fams):
+    """(mu x mu') oh (nu x nu') = (mu oh nu) x (mu' oh nu'), decided on the lattice.
+
+    The characteristic members are enough.  _level_product gives the simple
+    h-product a cut at every t in (0,1] of hull(mu_t . nu_t), with hull the
+    h_hull kernel over whatever same_sum_rows returns: the hull is monotone in
+    its pool, so the union over the thresholds at or above t is the one at
+    the least of them, where the cuts equal mu_t and nu_t.  The cut of
+    cartesian(mu, mu') at t is mu_t x mu'_t.  So both sides have at t the cut
+    the identity has at 1 on chi_A, chi_A', chi_B, chi_B' with A = mu_t,
+    A' = mu'_t, B = nu_t, B' = nu'_t.  Each of these is a crisp lattice
+    element (members are chains of them, nonempty at every t since the top
+    is at zero), and chi of each element is a characteristic member.  Two
+    fuzzy subsets with equal cuts are equal.  A failure there is a failure
+    of the whole family, and the scan over all members names its first
+    witness.
+    """
+    members = fams.fuzzy("S").members
+    if _coproduct_scan(ctx, _characteristic(members)) is None:
+        return None
+    return _coproduct_scan(ctx, members)
 
 
 def _product_commutes(ctx, fams, sides, direction):
@@ -543,16 +574,17 @@ def _product_commutes(ctx, fams, sides, direction):
     return None
 
 
-def _pair_images(ctx, fams, sides, source):
+def _pair_image_scan(ctx, fams, sides, source, pick):
     """Cartesian products of transferred pairs pass the source's test there.
 
-    Backward images land in SxS and name their operator; forward images land
-    in LxL or RxR and name that target.
+    pick selects the members scanned from each source family.  Backward
+    images land in SxS and name their operator; forward images land in LxL
+    or RxR and name that target.
     """
     for v in source.variants:
         for direction in (DOWN, UP):
             for side in sides:
-                members = source.members(fams, "S" if direction == UP else side, v)
+                members = pick(source.members(fams, "S" if direction == UP else side, v))
                 target = f"{side}x{side}" if direction == UP else "SxS"
                 named = {"target": target} if direction == UP else {"operator": side}
                 mapper = _map(side, direction)
@@ -564,6 +596,57 @@ def _pair_images(ctx, fams, sides, source):
                             pair = {"mu": _vals(mu), "sigma": _vals(sigma)}
                             return _failure({**source.tag(v), **named, **pair}, res)
     return None
+
+
+def _maps_cut_wise(ctx, fams, sides) -> bool:
+    """Each transfer map is assembled level by level from its crisp images.
+
+    Write D_A for the 1-cut of map(chi_A).  For every source member mu,
+    map(mu) takes no positive value that mu does not, and its cut at each
+    positive value t of mu is D_(mu_t).  Honest maps are finite minima of
+    values, so this holds; a corrupted map may break it.
+    """
+    for direction in (DOWN, UP):
+        for side in sides:
+            mapper = _map(side, direction)
+            crisp_images: dict = {}  # D_A by cut A
+            for mu in fams.fuzzy("S" if direction == UP else side).members:
+                image = mapper(ctx, mu)
+                levels = {t for t in mu.values if t > 0}
+                if not set(image.values) <= levels | {ZERO}:
+                    return False
+                for t in levels:
+                    cut = level_set(mu, t).members
+                    if cut not in crisp_images:
+                        chi = characteristic(mu.carrier, cut)
+                        crisp_images[cut] = level_set(mapper(ctx, chi), ONE).members
+                    if level_set(image, t).members != crisp_images[cut]:
+                        return False
+    return True
+
+
+def _pair_images(ctx, fams, sides, source):
+    """Transferred pairs pass the source's test; h-ideals decided on the lattice.
+
+    For the H_IDEAL source the characteristic members are enough once
+    _maps_cut_wise holds.  is_fuzzy_h_ideal(require_top=True) holds exactly
+    when the value at zero is 1 and each positive cut passes it as a
+    characteristic function (ideals module docstring).  Take source members
+    mu, sigma and t in (0,1].  mu_t is mu's cut at its least value at or
+    above t (mu(zero) = 1), a crisp lattice element A; map(mu) has no value
+    between t and that one, so the certificate makes D_A its cut at t.
+    Likewise D_B for sigma.  The cut of a cartesian product is the product
+    of the cuts, so map(mu) x map(sigma) has the cut D_A x D_B at t: the
+    1-cut of the pair scanned on chi_A, chi_B.  That pair passes, so D_A x
+    D_B is an h-ideal holding zero; hence the value at zero is 1 and every
+    cut passes.  Prime sources are not decided by cuts and are always
+    scanned in full, as is any source whose lattice pass or certificate
+    fails: that scan names the first witness.
+    """
+    scan = partial(_pair_image_scan, ctx, fams, sides, source)
+    if source is H_IDEAL and scan(_characteristic) is None and _maps_cut_wise(ctx, fams, sides):
+        return None
+    return scan(tuple)
 
 
 def _check_product_roundtrip(ctx, fams):

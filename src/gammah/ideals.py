@@ -326,7 +326,10 @@ def _fuzzy_head_checks(
     if require_top and mu.values[mon.zero] != ONE:
         return _fail("top-at-zero", {"zero": lab[mon.zero], "value": str(mu.values[mon.zero])})
     add = mon.add
-    vals = mu.values
+    # Every condition below compares values, so their ranks in mu's value
+    # chain decide it, as ints rather than Fractions.
+    rank = {v: i for i, v in enumerate(sorted(set(mu.values)))}
+    vals = [rank[v] for v in mu.values]
     for x in range(mon.n):
         row = add[x]
         vx = vals[x]

@@ -359,6 +359,32 @@ def element_loop_axioms(g: GammaHemiring, violation_cap: int = 16):
     return tuple(out[:violation_cap])
 
 
+def element_loop_hemiring(h, violation_cap: int = 16):
+    """validate_hemiring's violations in the order of an element-by-element
+    scan over every triple, cut at violation_cap: the monoid laws, zero
+    annihilation, then associativity and both distributive laws per triple.
+    """
+    from gammah.core import validate_monoid
+
+    n = h.n
+    lab = h.elements
+    add, mul, z = h.add, h.mul, h.zero
+    out = list(validate_monoid(h.monoid(), violation_cap).violations)
+    for a in range(n):
+        if mul[z][a] != z or mul[a][z] != z:
+            out.append(("zero-absorbing", (lab[a],)))
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    out.append(("mul-associative", (lab[a], lab[b], lab[c])))
+                if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
+                    out.append(("left-distributive", (lab[a], lab[b], lab[c])))
+                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+                    out.append(("right-distributive", (lab[a], lab[b], lab[c])))
+    return tuple(out[:violation_cap])
+
+
 def pair_hemiring_ps(op, mon) -> ProductStructure:
     """Componentwise product of an operator hemiring with itself, on carrier mon."""
     n = op.n

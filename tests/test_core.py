@@ -14,7 +14,7 @@ from gammah.core import (
     validate_hemiring,
     validate_monoid,
 )
-from oracles import element_loop_axioms
+from oracles import element_loop_axioms, element_loop_hemiring
 
 
 def mono(elements, zero, add, name=""):
@@ -121,6 +121,42 @@ class TestValidateGammaHemiring:
                         seen_laws |= {law for law, _ in want}
                         capped += len(want) > 16
         assert "axiom-4" in seen_laws and capped, (seen_laws, capped)
+
+
+class TestValidateHemiring:
+    HEMIRINGS = {
+        "B": corpus.boolean_hemiring,
+        "Z3": lambda: corpus.zmod_hemiring(3),
+        "Z4": lambda: corpus.zmod_hemiring(4),
+        "UT2(Z2)": corpus.upper_triangular_hemiring,
+    }
+
+    @pytest.mark.parametrize("name", sorted(HEMIRINGS))
+    def test_matches_element_loop_under_single_cell_corruption(self, name):
+        # The laws are compared as whole rows; every report must still equal
+        # the element-by-element scan, in its order and up to its cap.
+        h = self.HEMIRINGS[name]()
+        seen_laws, capped = set(), 0
+        for a in range(h.n):
+            for b in range(h.n):
+                for v in range(h.n):
+                    if v == h.mul[a][b]:
+                        continue
+                    mul = [list(row) for row in h.mul]
+                    mul[a][b] = v
+                    bad = type(h)(h.elements, h.zero, h.add, tuple(map(tuple, mul)), h.name)
+                    for cap in (16, 10_000):  # the default cap, and none
+                        rep = validate_hemiring(bad, violation_cap=cap)
+                        want = element_loop_hemiring(bad, cap)
+                        assert rep.violations == want, ((a, b), v, cap)
+                        assert rep.valid == (not want)
+                    seen_laws |= {law for law, _ in want}
+                    capped += len(want) > 16
+        assert validate_hemiring(h).valid
+        # On B no single cell breaks associativity, and no report reaches the cap.
+        laws = {"left-distributive", "right-distributive"}
+        laws |= {"mul-associative"} if h.n > 2 else set()
+        assert laws <= seen_laws and (capped or h.n == 2), (seen_laws, capped)
 
 
 class TestFromHemiring:

@@ -5,14 +5,27 @@ import pytest
 
 import gammah.correspondence
 import gammah.fuzzy
+import gammah.harness
 import gammah.ideals
 import gammah.operators
 from gammah import corpus
 from gammah.correspondence import build_context
-from gammah.fuzzy import FuzzySubset
-from gammah.harness import CATALOG, _Families, run_check, run_suite
+from gammah.fuzzy import FuzzySubset, same_sum_rows, simple_h_product
+from gammah.harness import (
+    CATALOG,
+    H_IDEAL,
+    RL,
+    _characteristic,
+    _coproduct_scan,
+    _Families,
+    _pair_image_scan,
+    run_check,
+    run_suite,
+)
 from gammah.ideals import CrispSubset, is_fuzzy_h_bi_ideal, is_fuzzy_h_quasi_ideal
 from oracles import short_sums_mul_law
+from test_acceptance import corrupted_same_sum_rows
+from test_ideals import nil_cube
 
 GRID = ("0", "1/2", "1")
 
@@ -257,3 +270,147 @@ class TestMulLawReference:
             assert res.status == status, g.name
             assert (short_sums_mul_law(ctx) is None) == (status == "pass"), g.name
             assert bool(res.witness) == (status == "fail"), g.name
+
+
+GRIDS = (GRID, ("0", "1/3", "2/3", "1"))
+
+
+def _full_scan(ctx, fams, check_id):
+    """Status and witness of S4-coprod or S4-hideal scanned over every member."""
+    if check_id == "S4-coprod":
+        w = _coproduct_scan(ctx, fams.fuzzy("S").members)
+    else:
+        w = _pair_image_scan(ctx, fams, RL, H_IDEAL, tuple)
+    return ("pass", None) if w is None else ("fail", w)
+
+
+class TestLatticeRoute:
+    """S4-coprod and S4-hideal run on the characteristic members, and fall
+    back to the scan over every member only when that fails."""
+
+    def test_noncommuting_products_pass(self):
+        ut2 = build_context(corpus.upper_triangular())
+        fams = _Families(ut2, tuple(Fraction(v) for v in GRID))
+        chars = _characteristic(fams.fuzzy("S").members)
+        assert [set(m.values) for m in chars] == [{0, 1}] * 4 + [{1}]
+        differ = [
+            (i, j)
+            for i, mu in enumerate(chars)
+            for j, nu in enumerate(chars)
+            if simple_h_product(ut2.s_ps, mu, nu) != simple_h_product(ut2.s_ps, nu, mu)
+        ]
+        assert differ == [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+        for check_id in ("S4-coprod", "S4-hideal"):
+            assert run_check(check_id, ut2, GRID, fams).status == "pass", check_id
+
+    def test_coproduct_route_on_z2xz2(self, monkeypatch):
+        # |lattice| = 4: 4^2 S products and 4^4 SxS ones; the scan over all
+        # 9 members would take 9^2 + 9^4.
+        ctx = build_context(corpus.z2xz2())
+        fams = _Families(ctx, tuple(Fraction(v) for v in GRID))
+        assert [len(fams.crisp(c)) for c in "SLR"] == [4, 4, 4]
+        calls = []
+
+        def counted(ps, mu, nu):
+            calls.append(ps)
+            return simple_h_product(ps, mu, nu)
+
+        monkeypatch.setattr(gammah.harness, "simple_h_product", counted)
+        assert run_check("S4-coprod", ctx, GRID, fams).status == "pass"
+        assert calls.count(ctx.s_ps) <= 4**2 and calls.count(ctx.sxs_ps) <= 4**4
+
+    def test_hideal_route_on_z2xz2(self, monkeypatch):
+        # The checker runs on the 4^2 pairs of characteristic members of each
+        # (direction, side); the certificate runs maps only.
+        ctx = build_context(corpus.z2xz2())
+        fams = _Families(ctx, tuple(Fraction(v) for v in GRID))
+        for c in "SLR":
+            fams.fuzzy(c)
+        honest = gammah.harness.is_fuzzy_h_ideal
+        calls = []
+
+        def counted(ps, mu, *args, **kwargs):
+            calls.append(ps)
+            return honest(ps, mu, *args, **kwargs)
+
+        monkeypatch.setattr(gammah.harness, "is_fuzzy_h_ideal", counted)
+        assert run_check("S4-hideal", ctx, GRID, fams).status == "pass"
+        assert len(calls) == 4 * 4**2
+        assert {id(ps) for ps in calls} == {id(ctx.ps(w)) for w in ("SxS", "LxL", "RxR")}
+
+
+def _halve(out):
+    # Order-preserving, so every membership survives; but the image of a
+    # non-crisp member no longer takes only that member's values.
+    return FuzzySubset(out.carrier, tuple(v if v == 1 else v / 2 for v in out.values))
+
+
+def _drop_top(out):
+    # Halve the value at zero of every non-crisp image: it leaves the image's
+    # values among the member's, but not its cuts.  Crisp images pass
+    # unchanged, so only the scan over all members can fail.
+    if set(out.values) <= {0, 1}:
+        return out
+    values = list(out.values)
+    values[out.carrier.zero] /= 2
+    return FuzzySubset(out.carrier, tuple(values))
+
+
+def _lift_one(out):
+    # Raise the first value strictly between 0 and 1 halfway to 1: on the
+    # coarser grid that leaves every cut at the member's values alone, but
+    # adds a value.  Crisp images pass unchanged, as above.
+    x = next((i for i, v in enumerate(out.values) if 0 < v < 1), None)
+    if x is None:
+        return out
+    values = list(out.values)
+    values[x] = (1 + values[x]) / 2
+    return FuzzySubset(out.carrier, tuple(values))
+
+
+# Full scans of several seconds per case are left out: every UT2(Z2) scan
+# (S4-coprod takes 11 s at the coarser grid, S4-hideal 1 to 5 s a case, 13
+# cases a grid), whose lattice route is pinned above, and S4-coprod over the
+# 16 members of Z2xZ2 at the finer grid (6 s).
+ROUTE_STRUCTURES = {
+    g.name: g
+    for g in corpus.standard_corpus() + [corpus.zmod(5), corpus.zero_action(2), nil_cube()]
+}
+SLOW = {("Z2xZ2", GRIDS[1], "S4-coprod")}
+MAP_FAULTS = {
+    f"{name}-{fault.__name__[1:]}": (name, fault)
+    for name in ("plus", "star", "plus_prime", "star_prime")
+    for fault in (_halve, _drop_top, _lift_one)
+}
+# skip-z changes nothing where addition cancels (p + z == q + z forces p == q
+# on S, hence on L, R and the pair carriers), so it runs where it does not.
+ROUTE_CASES = [
+    pytest.param(name, grid, case, id=f"{name}-{len(grid) - 1}-{case}")
+    for name, g in sorted(ROUTE_STRUCTURES.items())
+    for grid in GRIDS
+    for case in ["honest", *MAP_FAULTS]
+    + (["skip-z"] if corrupted_same_sum_rows(g.S) != same_sum_rows(g.S) else [])
+]
+
+
+@pytest.mark.parametrize("name, grid, case", ROUTE_CASES)
+def test_lattice_route_equals_full_scan(monkeypatch, name, grid, case):
+    """Status and witness equal the full scan's, honest and under faults the
+    lattice pass cannot see: the skip-z same-sum relation, and transfer maps
+    (which enter S4-hideal only) that break the certificate in three ways."""
+    checks = ("S4-hideal",) if case in MAP_FAULTS else ("S4-coprod", "S4-hideal")
+    if case in MAP_FAULTS:
+        map_name, fault = MAP_FAULTS[case]
+        honest = getattr(gammah.correspondence, map_name)
+        monkeypatch.setattr(
+            gammah.correspondence, map_name, lambda ctx, subset: fault(honest(ctx, subset))
+        )
+    if case == "skip-z":
+        monkeypatch.setattr(gammah.fuzzy, "same_sum_rows", corrupted_same_sum_rows)
+        monkeypatch.setattr(gammah.ideals, "same_sum_rows", corrupted_same_sum_rows)
+    ctx = build_context(ROUTE_STRUCTURES[name])
+    fams = _Families(ctx, tuple(Fraction(v) for v in grid))
+    for cid in checks:
+        if (name, grid, cid) not in SLOW:
+            res = run_check(cid, ctx, grid, fams)
+            assert (res.status, res.witness) == _full_scan(ctx, fams, cid), cid
