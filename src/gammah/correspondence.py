@@ -205,16 +205,20 @@ def _crisp_up(tag: str, ctx: CorrespondenceContext, q: CrispSubset) -> CrispSubs
     return crisp_from_mask(sd.monoid, mask)
 
 
+def _pair_min(vals, n: int, rows: list[set[int]]) -> tuple:
+    """(a, b) -> min of vals[i * n + j] over i in rows[a], j in rows[b], a-major.
+
+    Rows hold distinct indices; the min over j is taken once per i and b.
+    """
+    inner = {i: [min(vals[i * n + j] for j in rb) for rb in rows] for i in set().union(*rows)}
+    return tuple(min(inner[i][b] for i in ra) for ra in rows for b in range(len(rows)))
+
+
 def _product_down(tag: str, ctx: CorrespondenceContext, phi: FuzzySubset) -> FuzzySubset:
     """Over SxS: (x,y) -> min over (alpha,beta) of phi at the embeddings of (x,alpha), (y,beta)."""
     sd = ctx.side(tag)
     _expect(phi, sd.pair_monoid, f"{tag}x{tag}")
-    ns, ng, n, emb = ctx.G.S.n, ctx.G.Gamma.n, sd.op.n, sd.embed
-    values = tuple(
-        min(phi.values[emb[x][a] * n + emb[y][b]] for a in range(ng) for b in range(ng))
-        for x in range(ns)
-        for y in range(ns)
-    )
+    values = _pair_min(phi.values, sd.op.n, [set(row) for row in sd.embed])
     return FuzzySubset(ctx.sxs_monoid, values)
 
 
@@ -222,12 +226,7 @@ def _product_up(tag: str, ctx: CorrespondenceContext, phi: FuzzySubset) -> Fuzzy
     """Over LxL or RxR: (f,g) -> min over independent (s1,s2) of phi(f(s1), g(s2))."""
     sd = ctx.side(tag)
     _expect(phi, ctx.sxs_monoid, "SxS")
-    ns = ctx.G.S.n
-    values = tuple(
-        min(phi.values[m1.table[s1] * ns + m2.table[s2]] for s1 in range(ns) for s2 in range(ns))
-        for m1 in sd.op.maps
-        for m2 in sd.op.maps
-    )
+    values = _pair_min(phi.values, ctx.G.S.n, [set(m.table) for m in sd.op.maps])
     return FuzzySubset(sd.pair_monoid, values)
 
 

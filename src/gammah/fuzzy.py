@@ -7,7 +7,6 @@ equalities of canonical rationals.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -53,11 +52,17 @@ def constant(carrier: FiniteMonoid, value) -> FuzzySubset:
     return FuzzySubset(carrier, tuple(v for _ in range(carrier.n)))
 
 
-def characteristic(carrier: FiniteMonoid, members: Iterable[int]) -> FuzzySubset:
+def _inside(carrier: FiniteMonoid, members: Iterable[int]) -> set[int]:
+    """The members as a set of indices; ValueError if one lies outside the carrier."""
     inside = set(members)
     bad = inside - set(range(carrier.n))
     if bad:
         raise ValueError(f"members {sorted(bad)} outside carrier")
+    return inside
+
+
+def characteristic(carrier: FiniteMonoid, members: Iterable[int]) -> FuzzySubset:
+    inside = _inside(carrier, members)
     return FuzzySubset(carrier, tuple(ONE if i in inside else ZERO for i in range(carrier.n)))
 
 
@@ -267,10 +272,3 @@ def simple_h_product(ps: ProductStructure, mu: FuzzySubset, theta: FuzzySubset) 
     if mu.carrier != ps.carrier or theta.carrier != ps.carrier:
         raise ValueError("fuzzy subsets must live on the product structure's carrier")
     return _level_product(ps, mu, theta, close=False)
-
-
-def grid_subsets(carrier: FiniteMonoid, grid: Sequence[Fraction]) -> Iterable[FuzzySubset]:
-    """All fuzzy subsets with values drawn from the grid (lexicographic order)."""
-    vals = [unit_rational(v) for v in grid]
-    for combo in itertools.product(vals, repeat=carrier.n):
-        yield FuzzySubset(carrier, combo)

@@ -14,7 +14,6 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable
 
 from . import correspondence as corr
@@ -31,7 +30,6 @@ from .fuzzy import (
     generalized_h_product,
     intersect,
     is_subset,
-    level_set,
     simple_h_product,
     unit_rational,
 )
@@ -513,9 +511,18 @@ def _composition(ctx, fams, sides, product):
 # --- section 4 ---------------------------------------------------------------
 
 
-def _characteristic(members) -> tuple[FuzzySubset, ...]:
-    """The {0,1}-valued members, in family order: one per crisp lattice element."""
-    return tuple(m for m in members if set(m.values) <= {ZERO, ONE})
+def _characteristic(subsets) -> tuple[FuzzySubset, ...]:
+    """chi of every positive cut of the subsets, once each, sorted by values.
+
+    On a family: its {0,1}-valued members, one per crisp lattice element.
+    """
+    cuts = {
+        tuple(ONE if v >= t else ZERO for v in m.values)
+        for m in subsets
+        for t in set(m.values)
+        if t > 0
+    }
+    return tuple(FuzzySubset(subsets[0].carrier, values) for values in sorted(cuts))
 
 
 def _coproduct_scan(ctx, members):
@@ -574,17 +581,16 @@ def _product_commutes(ctx, fams, sides, direction):
     return None
 
 
-def _pair_image_scan(ctx, fams, sides, source, pick):
+def _pair_image_scan(ctx, fams, sides, source):
     """Cartesian products of transferred pairs pass the source's test there.
 
-    pick selects the members scanned from each source family.  Backward
-    images land in SxS and name their operator; forward images land in LxL
-    or RxR and name that target.
+    Backward images land in SxS and name their operator; forward images land
+    in LxL or RxR and name that target.
     """
     for v in source.variants:
         for direction in (DOWN, UP):
             for side in sides:
-                members = pick(source.members(fams, "S" if direction == UP else side, v))
+                members = source.members(fams, "S" if direction == UP else side, v)
                 target = f"{side}x{side}" if direction == UP else "SxS"
                 named = {"target": target} if direction == UP else {"operator": side}
                 mapper = _map(side, direction)
@@ -598,87 +604,86 @@ def _pair_image_scan(ctx, fams, sides, source, pick):
     return None
 
 
-def _maps_cut_wise(ctx, fams, sides) -> bool:
-    """Each transfer map is assembled level by level from its crisp images.
+def _pair_cuts_pass(ctx, fams, sides, source) -> bool:
+    """Every pair of transferred h-ideals passes, decided on its images' cuts.
 
-    Write D_A for the 1-cut of map(chi_A).  For every source member mu,
-    map(mu) takes no positive value that mu does not, and its cut at each
-    positive value t of mu is D_(mu_t).  Honest maps are finite minima of
-    values, so this holds; a corrupted map may break it.
+    is_fuzzy_h_ideal(require_top=True) holds for a finitely valued phi
+    exactly when phi(zero) = 1 and chi of each positive cut of phi passes
+    (ideals module docstring); no map is assumed honest.  For images a, b
+    that are 1 at zero, a x b is 1 at zero and its cut at t > 0 is
+    a_t x b_t, with a_t a's cut at its least value at or above t: a positive
+    cut of an image, as is b_t.  So a x b passes once each pair of positive
+    cuts A, B of the images has cartesian(chi_A, chi_B) pass.
     """
-    for direction in (DOWN, UP):
-        for side in sides:
-            mapper = _map(side, direction)
-            crisp_images: dict = {}  # D_A by cut A
-            for mu in fams.fuzzy("S" if direction == UP else side).members:
-                image = mapper(ctx, mu)
-                levels = {t for t in mu.values if t > 0}
-                if not set(image.values) <= levels | {ZERO}:
+    for v in source.variants:
+        for direction in (DOWN, UP):
+            for side in sides:
+                src, mapper = "S" if direction == UP else side, _map(side, direction)
+                images = [mapper(ctx, mu) for mu in source.members(fams, src, v)]
+                if any(im.values[im.carrier.zero] != ONE for im in images):
                     return False
-                for t in levels:
-                    cut = level_set(mu, t).members
-                    if cut not in crisp_images:
-                        chi = characteristic(mu.carrier, cut)
-                        crisp_images[cut] = level_set(mapper(ctx, chi), ONE).members
-                    if level_set(image, t).members != crisp_images[cut]:
-                        return False
+                cuts = _characteristic(images)
+                target = f"{side}x{side}" if direction == UP else "SxS"
+                if not all(
+                    source.check(fams, target, cartesian(a, b), v).holds for a in cuts for b in cuts
+                ):
+                    return False
     return True
 
 
 def _pair_images(ctx, fams, sides, source):
-    """Transferred pairs pass the source's test; h-ideals decided on the lattice.
+    """Transferred pairs pass the source's test; h-ideals decided on cuts first.
 
-    For the H_IDEAL source the characteristic members are enough once
-    _maps_cut_wise holds.  is_fuzzy_h_ideal(require_top=True) holds exactly
-    when the value at zero is 1 and each positive cut passes it as a
-    characteristic function (ideals module docstring).  Take source members
-    mu, sigma and t in (0,1].  mu_t is mu's cut at its least value at or
-    above t (mu(zero) = 1), a crisp lattice element A; map(mu) has no value
-    between t and that one, so the certificate makes D_A its cut at t.
-    Likewise D_B for sigma.  The cut of a cartesian product is the product
-    of the cuts, so map(mu) x map(sigma) has the cut D_A x D_B at t: the
-    1-cut of the pair scanned on chi_A, chi_B.  That pair passes, so D_A x
-    D_B is an h-ideal holding zero; hence the value at zero is 1 and every
-    cut passes.  Prime sources are not decided by cuts and are always
-    scanned in full, as is any source whose lattice pass or certificate
-    fails: that scan names the first witness.
+    Prime sources are not decided by cuts.  Any source not decided to pass is
+    scanned over all members, which names the first witness.
     """
-    scan = partial(_pair_image_scan, ctx, fams, sides, source)
-    if source is H_IDEAL and scan(_characteristic) is None and _maps_cut_wise(ctx, fams, sides):
+    if source is H_IDEAL and _pair_cuts_pass(ctx, fams, sides, source):
         return None
-    return scan(tuple)
+    return _pair_image_scan(ctx, fams, sides, source)
+
+
+def _cartesian_inclusions(members, images):
+    """First pair of member pairs with mu1 x s1 <= mu2 x s2 but not so their images.
+
+    images[k] is the image of members[k]; pairs run in member order.  Members
+    are 1 at zero, so mu1 x s1 <= mu2 x s2 exactly when mu1 <= mu2 and
+    s1 <= s2: min is monotone, and mu1(x) = min(mu1(x), s1(zero)) <=
+    min(mu2(x), s2(zero)) <= mu2(x), likewise for s1.  Images of corrupted
+    maps need not be 1 at zero, so their cartesians are compared directly.
+    """
+    at = range(len(members))
+    up = [[j for j in at if is_subset(members[i], members[j])] for i in at]
+    prods = [[cartesian(a, b) for b in images] for a in images]
+    for i1, j1 in itertools.product(at, at):
+        for i2, j2 in itertools.product(up[i1], up[j1]):
+            if not is_subset(prods[i1][j1], prods[i2][j2]):
+                return {
+                    "reason": "not-inclusion-preserving",
+                    "smaller": [_vals(members[i1]), _vals(members[j1])],
+                    "larger": [_vals(members[i2]), _vals(members[j2])],
+                }
+    return None
 
 
 def _check_product_roundtrip(ctx, fams):
-    # The R-side product maps undo the R-side maps on cartesian products, both ways.
+    # The R-side product maps undo the R-side maps on cartesian products, both
+    # ways; then the forward map preserves inclusion of cartesian products.
+    images = {}
     for source, direction in (("S", UP), ("R", DOWN)):
         inner = _map("R", direction)
         outer = _map("R", DOWN if direction == UP else UP, "product_")
         members = fams.fuzzy(source).members
-        for mu in members:
-            for sigma in members:
-                image = cartesian(inner(ctx, mu), inner(ctx, sigma))
+        images[source] = [inner(ctx, m) for m in members]
+        for mu, a in zip(members, images[source]):
+            for sigma, b in zip(members, images[source]):
                 w = _diff_witness(
                     {"direction": source, "mu": _vals(mu), "sigma": _vals(sigma)},
-                    outer(ctx, image),
+                    outer(ctx, cartesian(a, b)),
                     cartesian(mu, sigma),
                 )
                 if w:
                     return w
-    s_members = fams.fuzzy("S").members
-    pairs = [(m1, m2, cartesian(m1, m2)) for m1 in s_members for m2 in s_members]
-    for mu1, s1, c1 in pairs:
-        im1 = cartesian(corr.star_prime(ctx, mu1), corr.star_prime(ctx, s1))
-        for mu2, s2, c2 in pairs:
-            if is_subset(c1, c2):
-                im2 = cartesian(corr.star_prime(ctx, mu2), corr.star_prime(ctx, s2))
-                if not is_subset(im1, im2):
-                    return {
-                        "reason": "not-inclusion-preserving",
-                        "smaller": [_vals(mu1), _vals(s1)],
-                        "larger": [_vals(mu2), _vals(s2)],
-                    }
-    return None
+    return _cartesian_inclusions(fams.fuzzy("S").members, images["S"])
 
 
 @dataclass(frozen=True)

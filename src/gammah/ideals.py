@@ -31,6 +31,7 @@ from .fuzzy import (
     ZERO,
     FuzzySubset,
     _bits,
+    _inside,
     additive_closure_mask,
     characteristic,
     constant,
@@ -86,7 +87,7 @@ class CrispSubset:
 
 
 def crisp(carrier: FiniteMonoid, members: Iterable[int]) -> CrispSubset:
-    inside = set(members)
+    inside = _inside(carrier, members)
     return CrispSubset(carrier, tuple(i in inside for i in range(carrier.n)))
 
 
@@ -245,13 +246,11 @@ def h_closure(ps: ProductStructure, a: CrispSubset | Iterable[int], sidedness: s
     """Least closed set of a kind (by default a two-sided h-ideal) containing the given set."""
     _require_kind(sidedness)
     mon = ps.carrier
-    if isinstance(a, CrispSubset):
-        if a.carrier != mon:
-            raise ValueError("subset lives on a different carrier")
-        mask = a.mask
-    else:
-        mask = sum(1 << i for i in set(a))
-    return crisp_from_mask(mon, _closure_mask(ps, mask, sidedness))
+    if not isinstance(a, CrispSubset):
+        a = crisp(mon, a)
+    if a.carrier != mon:
+        raise ValueError("subset lives on a different carrier")
+    return crisp_from_mask(mon, _closure_mask(ps, a.mask, sidedness))
 
 
 def enumerate_h_ideals(

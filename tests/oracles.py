@@ -16,6 +16,13 @@ from gammah.fuzzy import FuzzySubset
 ZERO = Fraction(0)
 
 
+def grid_subsets(carrier, grid):
+    """All fuzzy subsets with values drawn from the grid (lexicographic order)."""
+    vals = [Fraction(v) for v in grid]
+    for combo in itertools.product(vals, repeat=carrier.n):
+        yield FuzzySubset(carrier, combo)
+
+
 def h_equal(mon, lhs: int, rhs: int) -> bool:
     """x + u + z == v + z for some z, by direct scan."""
     add = mon.add
@@ -434,3 +441,54 @@ def product_cut_quasi_closure(ps: ProductStructure, mask: int) -> int:
         if out == mask:
             return mask
         mask = out
+
+
+def product_down_comprehension(tag: str, ctx, phi: FuzzySubset) -> FuzzySubset:
+    """The down product map as a min over every pair of Gamma indices, repeats included."""
+    sd = ctx.side(tag)
+    ns, ng, n, emb = ctx.G.S.n, ctx.G.Gamma.n, sd.op.n, sd.embed
+    values = tuple(
+        min(phi.values[emb[x][a] * n + emb[y][b]] for a in range(ng) for b in range(ng))
+        for x in range(ns)
+        for y in range(ns)
+    )
+    return FuzzySubset(ctx.sxs_monoid, values)
+
+
+def product_up_comprehension(tag: str, ctx, phi: FuzzySubset) -> FuzzySubset:
+    """The up product map as a min over every pair of points of S, repeats included."""
+    sd = ctx.side(tag)
+    ns = ctx.G.S.n
+    values = tuple(
+        min(phi.values[m1.table[s1] * ns + m2.table[s2]] for s1 in range(ns) for s2 in range(ns))
+        for m1 in sd.op.maps
+        for m2 in sd.op.maps
+    )
+    return FuzzySubset(sd.pair_monoid, values)
+
+
+def cartesian_inclusion_loop(members, image):
+    """T-cores2's inclusion half over every pair of member pairs.
+
+    For each pair (mu1, s1) and each pair (mu2, s2), in member order: when
+    mu1 x s1 lies in mu2 x s2, image(mu1) x image(s1) must lie in
+    image(mu2) x image(s2).  Returns the first failure as a witness, or None.
+    """
+    from gammah.fuzzy import cartesian, is_subset
+
+    def vals(m):
+        return [str(v) for v in m.values]
+
+    pairs = [(m1, m2, cartesian(m1, m2)) for m1 in members for m2 in members]
+    for mu1, s1, c1 in pairs:
+        im1 = cartesian(image(mu1), image(s1))
+        for mu2, s2, c2 in pairs:
+            if is_subset(c1, c2):
+                im2 = cartesian(image(mu2), image(s2))
+                if not is_subset(im1, im2):
+                    return {
+                        "reason": "not-inclusion-preserving",
+                        "smaller": [vals(mu1), vals(s1)],
+                        "larger": [vals(mu2), vals(s2)],
+                    }
+    return None

@@ -41,7 +41,6 @@ from gammah.fuzzy import (
     cartesian,
     equals,
     generalized_h_product,
-    grid_subsets,
     same_sum_rows,
     simple_h_product,
 )
@@ -52,6 +51,7 @@ from oracles import (
     brute_fuzzy_family,
     brute_operator,
     closure_subsets_h_ideals,
+    grid_subsets,
     naive_generalized_h_product,
     naive_is_fuzzy_h_ideal,
     naive_simple_h_product,

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -37,7 +38,7 @@ from gammah.fuzzy import (
 )
 from gammah.ideals import crisp, enumerate_fuzzy_h_ideals, enumerate_h_ideals
 from gammah.operators import FormalSum, realize, rho_equivalent
-from oracles import pair_hemiring_ps
+from oracles import pair_hemiring_ps, product_down_comprehension, product_up_comprehension
 
 GRID = ("0", "1/2", "1")
 
@@ -193,6 +194,25 @@ class TestProductMaps:
             product_plus(ctx_z2, constant(ctx_z2.rxr_monoid, 1))
         with pytest.raises(ValueError):
             product_plus_prime(ctx_z2, constant(ctx_z2.s_monoid, 1))
+
+
+@pytest.mark.parametrize("g", corpus.standard_corpus(), ids=lambda g: g.name)
+def test_product_maps_equal_comprehension_on_any_subset(g):
+    """Each product map, taken over distinct index rows, equals the min over
+    every index pair on arbitrary, non-cartesian subsets of its pair carrier."""
+    ctx = build_context(g)
+    rng = random.Random(g.name)
+    values = [Fraction(k, 4) for k in range(5)]
+    cases = (
+        (product_plus, product_down_comprehension, "L", ctx.lxl_monoid),
+        (product_star, product_down_comprehension, "R", ctx.rxr_monoid),
+        (product_plus_prime, product_up_comprehension, "L", ctx.sxs_monoid),
+        (product_star_prime, product_up_comprehension, "R", ctx.sxs_monoid),
+    )
+    for pmap, reference, tag, carrier in cases:
+        for _ in range(6):
+            phi = make_fuzzy(carrier, [rng.choice(values) for _ in range(carrier.n)])
+            assert pmap(ctx, phi) == reference(tag, ctx, phi), (pmap, phi.values)
 
 
 class TestContext:

@@ -13,7 +13,6 @@ from gammah.fuzzy import (
     equals,
     fuzzy_sum,
     generalized_h_product,
-    grid_subsets,
     intersect,
     is_subset,
     level_set,
@@ -21,7 +20,7 @@ from gammah.fuzzy import (
     simple_h_product,
     unit_rational,
 )
-from oracles import naive_generalized_h_product, naive_simple_h_product
+from oracles import grid_subsets, naive_generalized_h_product, naive_simple_h_product
 
 GRID = (Fraction(0), Fraction(1, 2), Fraction(1))
 

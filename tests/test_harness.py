@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gammah.correspondence
 import gammah.fuzzy
@@ -15,6 +17,7 @@ from gammah.harness import (
     CATALOG,
     H_IDEAL,
     RL,
+    _cartesian_inclusions,
     _characteristic,
     _coproduct_scan,
     _Families,
@@ -23,7 +26,7 @@ from gammah.harness import (
     run_suite,
 )
 from gammah.ideals import CrispSubset, is_fuzzy_h_bi_ideal, is_fuzzy_h_quasi_ideal
-from oracles import short_sums_mul_law
+from oracles import cartesian_inclusion_loop, short_sums_mul_law
 from test_acceptance import corrupted_same_sum_rows
 from test_ideals import nil_cube
 
@@ -280,13 +283,14 @@ def _full_scan(ctx, fams, check_id):
     if check_id == "S4-coprod":
         w = _coproduct_scan(ctx, fams.fuzzy("S").members)
     else:
-        w = _pair_image_scan(ctx, fams, RL, H_IDEAL, tuple)
+        w = _pair_image_scan(ctx, fams, RL, H_IDEAL)
     return ("pass", None) if w is None else ("fail", w)
 
 
 class TestLatticeRoute:
-    """S4-coprod and S4-hideal run on the characteristic members, and fall
-    back to the scan over every member only when that fails."""
+    """S4-coprod runs on the characteristic members and S4-hideal on the
+    positive cuts of its images; each falls back to the scan over every
+    member only when that fails."""
 
     def test_noncommuting_products_pass(self):
         ut2 = build_context(corpus.upper_triangular())
@@ -320,8 +324,8 @@ class TestLatticeRoute:
         assert calls.count(ctx.s_ps) <= 4**2 and calls.count(ctx.sxs_ps) <= 4**4
 
     def test_hideal_route_on_z2xz2(self, monkeypatch):
-        # The checker runs on the 4^2 pairs of characteristic members of each
-        # (direction, side); the certificate runs maps only.
+        # The checker runs on the 4^2 pairs of positive cuts of the images of
+        # each (direction, side); computing the images calls maps only.
         ctx = build_context(corpus.z2xz2())
         fams = _Families(ctx, tuple(Fraction(v) for v in GRID))
         for c in "SLR":
@@ -337,6 +341,32 @@ class TestLatticeRoute:
         assert run_check("S4-hideal", ctx, GRID, fams).status == "pass"
         assert len(calls) == 4 * 4**2
         assert {id(ps) for ps in calls} == {id(ctx.ps(w)) for w in ("SxS", "LxL", "RxR")}
+
+    def test_hideal_route_under_halved_maps(self, monkeypatch):
+        # Halving every value below 1 gives images values no member takes, but
+        # keeps 1 at zero and keeps their cuts, so the check still passes on
+        # the 4^2 pairs of cuts of each (direction, side), with no full scan.
+        ctx = build_context(corpus.z2xz2())
+        fams = _Families(ctx, tuple(Fraction(v) for v in GRID))
+        for c in "SLR":
+            fams.fuzzy(c)
+        for name in ("plus", "star", "plus_prime", "star_prime"):
+            honest_map = getattr(gammah.correspondence, name)
+            monkeypatch.setattr(
+                gammah.correspondence,
+                name,
+                lambda ctx, subset, honest_map=honest_map: _halve(honest_map(ctx, subset)),
+            )
+        honest = gammah.harness.is_fuzzy_h_ideal
+        calls = []
+
+        def counted(ps, mu, *args, **kwargs):
+            calls.append(ps)
+            return honest(ps, mu, *args, **kwargs)
+
+        monkeypatch.setattr(gammah.harness, "is_fuzzy_h_ideal", counted)
+        assert run_check("S4-hideal", ctx, GRID, fams).status == "pass"
+        assert len(calls) == 4 * 4**2
 
 
 def _halve(out):
@@ -397,7 +427,7 @@ ROUTE_CASES = [
 def test_lattice_route_equals_full_scan(monkeypatch, name, grid, case):
     """Status and witness equal the full scan's, honest and under faults the
     lattice pass cannot see: the skip-z same-sum relation, and transfer maps
-    (which enter S4-hideal only) that break the certificate in three ways."""
+    (which enter S4-hideal only) corrupted in three ways."""
     checks = ("S4-hideal",) if case in MAP_FAULTS else ("S4-coprod", "S4-hideal")
     if case in MAP_FAULTS:
         map_name, fault = MAP_FAULTS[case]
@@ -414,3 +444,27 @@ def test_lattice_route_equals_full_scan(monkeypatch, name, grid, case):
         if (name, grid, cid) not in SLOW:
             res = run_check(cid, ctx, grid, fams)
             assert (res.status, res.witness) == _full_scan(ctx, fams, cid), cid
+
+
+FRACTIONS = st.sampled_from([Fraction(k, 4) for k in range(5)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_cartesian_inclusions_equal_loop(data):
+    """T-cores2's inclusion half, read from a table of member inclusions,
+    names the first witness of the loop over every pair of member pairs.
+    Members are 1 at zero; images are arbitrary, as a corrupted map makes."""
+    members_on = build_context(corpus.zmod(3)).s_monoid
+    images_on = build_context(corpus.zmod(2)).s_monoid
+    rest = st.lists(FRACTIONS, min_size=members_on.n - 1, max_size=members_on.n - 1)
+    rows = data.draw(st.lists(rest, min_size=2, max_size=4, unique_by=tuple))
+    members = []
+    for row in rows:
+        row.insert(members_on.zero, Fraction(1))
+        members.append(FuzzySubset(members_on, tuple(row)))
+    image_values = st.lists(FRACTIONS, min_size=images_on.n, max_size=images_on.n)
+    images = [FuzzySubset(images_on, tuple(data.draw(image_values))) for _ in members]
+    image_of = {m.values: im for m, im in zip(members, images)}
+    expected = cartesian_inclusion_loop(members, lambda m: image_of[m.values])
+    assert _cartesian_inclusions(members, images) == expected

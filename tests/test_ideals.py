@@ -164,6 +164,14 @@ class TestHClosure:
     def test_whole_carrier_fixed(self, ps_z4):
         assert h_closure(ps_z4, range(4)).indices() == (0, 1, 2, 3)
 
+    @pytest.mark.parametrize("members", [[4], [-1], [7], [0, 5]])
+    def test_indices_outside_carrier_rejected(self, ps_z4, members):
+        # The ValueError fuzzy.characteristic raises, not an IndexError, a
+        # negative shift or a silently empty subset.
+        for build in (partial(h_closure, ps_z4), partial(crisp, ps_z4.carrier)):
+            with pytest.raises(ValueError, match="outside carrier"):
+                build(members)
+
     def test_unknown_kind_rejected(self):
         ps = build_context(corpus.z2xz2()).s_ps
         one_one = ps.carrier.elements.index("(1,1)")
