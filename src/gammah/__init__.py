@@ -20,7 +20,6 @@ from .core import (
 )
 from .fuzzy import (
     FuzzySubset,
-    LevelSet,
     cartesian,
     characteristic,
     constant,
@@ -29,7 +28,6 @@ from .fuzzy import (
     generalized_h_product,
     intersect,
     is_subset,
-    level_set,
     make_fuzzy,
     simple_h_product,
     unit_rational,

@@ -116,17 +116,6 @@ def cartesian(m1: FuzzySubset, m2: FuzzySubset) -> FuzzySubset:
     return FuzzySubset(carrier, values)
 
 
-@dataclass(frozen=True)
-class LevelSet:
-    threshold: Fraction
-    members: frozenset[int]
-
-
-def level_set(mu: FuzzySubset, t) -> LevelSet:
-    t = unit_rational(t)
-    return LevelSet(t, frozenset(i for i, v in enumerate(mu.values) if v >= t))
-
-
 def cut_mask(mu: FuzzySubset, t: Fraction) -> int:
     mask = 0
     for i, v in enumerate(mu.values):

@@ -511,18 +511,9 @@ def _composition(ctx, fams, sides, product):
 # --- section 4 ---------------------------------------------------------------
 
 
-def _characteristic(subsets) -> tuple[FuzzySubset, ...]:
-    """chi of every positive cut of the subsets, once each, sorted by values.
-
-    On a family: its {0,1}-valued members, one per crisp lattice element.
-    """
-    cuts = {
-        tuple(ONE if v >= t else ZERO for v in m.values)
-        for m in subsets
-        for t in set(m.values)
-        if t > 0
-    }
-    return tuple(FuzzySubset(subsets[0].carrier, values) for values in sorted(cuts))
+def _characteristic(members) -> tuple[FuzzySubset, ...]:
+    """A family's {0,1}-valued members, one per crisp lattice element."""
+    return tuple(m for m in members if set(m.values) <= {ZERO, ONE})
 
 
 def _coproduct_scan(ctx, members):
@@ -604,40 +595,31 @@ def _pair_image_scan(ctx, fams, sides, source):
     return None
 
 
-def _pair_cuts_pass(ctx, fams, sides, source) -> bool:
-    """Every pair of transferred h-ideals passes, decided on its images' cuts.
-
-    is_fuzzy_h_ideal(require_top=True) holds for a finitely valued phi
-    exactly when phi(zero) = 1 and chi of each positive cut of phi passes
-    (ideals module docstring); no map is assumed honest.  For images a, b
-    that are 1 at zero, a x b is 1 at zero and its cut at t > 0 is
-    a_t x b_t, with a_t a's cut at its least value at or above t: a positive
-    cut of an image, as is b_t.  So a x b passes once each pair of positive
-    cuts A, B of the images has cartesian(chi_A, chi_B) pass.
-    """
-    for v in source.variants:
-        for direction in (DOWN, UP):
-            for side in sides:
-                src, mapper = "S" if direction == UP else side, _map(side, direction)
-                images = [mapper(ctx, mu) for mu in source.members(fams, src, v)]
-                if any(im.values[im.carrier.zero] != ONE for im in images):
-                    return False
-                cuts = _characteristic(images)
-                target = f"{side}x{side}" if direction == UP else "SxS"
-                if not all(
-                    source.check(fams, target, cartesian(a, b), v).holds for a in cuts for b in cuts
-                ):
-                    return False
-    return True
-
-
 def _pair_images(ctx, fams, sides, source):
-    """Transferred pairs pass the source's test; h-ideals decided on cuts first.
+    """Transferred pairs pass the source's test; h-ideals decided on the factors.
 
-    Prime sources are not decided by cuts.  Any source not decided to pass is
-    scanned over all members, which names the first witness.
+    A pair carrier (SxS, LxL, RxR) adds componentwise and reads each rule
+    componentwise, so for a and b with value 1 at zero, a x b passes
+    is_fuzzy_h_ideal(require_top=True) exactly when a and b pass on their own
+    carriers (level-subset theorem, ideals module docstring).  The cut of
+    a x b at t is a_t x b_t, and both factors contain zero.  Additivity, the
+    sided products and the h-condition each hold on A x B exactly when they
+    hold on A and on B: an instance on A x B pairs an instance on A with one
+    on B, which gives "if"; the instances with zero, which is absorbing, in
+    the other component give "only if".  For SxS this covers the products
+    taken in step along Gamma: (x1 g y1, x2 g y2) lies in A x B exactly when
+    each component does.  The same-sum relation of a pair carrier is the
+    product of its factors' relations, z being chosen per component; that
+    holds of the honest same_sum_rows and of the skip-z corruption (the
+    identity) alike.  Nothing is assumed of the maps: _membership checks
+    each image on its own carrier, top at zero included, so its passing both
+    ways makes every pair pass, and an image that fails makes its pair with
+    itself fail.  Otherwise, and for prime sources, the scan over all pairs
+    decides and names the first witness.
     """
-    if source is H_IDEAL and _pair_cuts_pass(ctx, fams, sides, source):
+    if source is H_IDEAL and all(
+        _membership(ctx, fams, sides, d, source) is None for d in (DOWN, UP)
+    ):
         return None
     return _pair_image_scan(ctx, fams, sides, source)
 

@@ -10,12 +10,12 @@ from gammah.fuzzy import (
     cartesian,
     characteristic,
     constant,
+    cut_mask,
     equals,
     fuzzy_sum,
     generalized_h_product,
     intersect,
     is_subset,
-    level_set,
     make_fuzzy,
     simple_h_product,
     unit_rational,
@@ -74,9 +74,9 @@ class TestBasicOps:
 
     def test_level_sets(self, z2):
         mu = make_fuzzy(z2.S, ["1", "1/2"])
-        assert level_set(mu, 1).members == {0}
-        assert level_set(mu, "1/2").members == {0, 1}
-        assert level_set(mu, 0).members == {0, 1}
+        assert cut_mask(mu, Fraction(1)) == 0b01
+        assert cut_mask(mu, Fraction(1, 2)) == 0b11
+        assert cut_mask(mu, Fraction(0)) == 0b11
 
 
 class TestFuzzySum:

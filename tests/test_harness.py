@@ -1,3 +1,4 @@
+import functools
 import json
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import gammah.ideals
 import gammah.operators
 from gammah import corpus
 from gammah.correspondence import build_context
-from gammah.fuzzy import FuzzySubset, same_sum_rows, simple_h_product
+from gammah.fuzzy import FuzzySubset, cartesian, same_sum_rows, simple_h_product
 from gammah.harness import (
     CATALOG,
     H_IDEAL,
@@ -25,7 +26,13 @@ from gammah.harness import (
     run_check,
     run_suite,
 )
-from gammah.ideals import CrispSubset, is_fuzzy_h_bi_ideal, is_fuzzy_h_quasi_ideal
+from gammah.ideals import (
+    CrispSubset,
+    h_closure,
+    is_fuzzy_h_bi_ideal,
+    is_fuzzy_h_ideal,
+    is_fuzzy_h_quasi_ideal,
+)
 from oracles import cartesian_inclusion_loop, short_sums_mul_law
 from test_acceptance import corrupted_same_sum_rows
 from test_ideals import nil_cube
@@ -289,8 +296,9 @@ def _full_scan(ctx, fams, check_id):
 
 class TestLatticeRoute:
     """S4-coprod runs on the characteristic members and S4-hideal on the
-    positive cuts of its images; each falls back to the scan over every
-    member only when that fails."""
+    transferred members, each on its own carrier (the cartesian-product
+    lemma); each falls back to the scan over every member pair only when
+    that fails."""
 
     def test_noncommuting_products_pass(self):
         ut2 = build_context(corpus.upper_triangular())
@@ -324,32 +332,18 @@ class TestLatticeRoute:
         assert calls.count(ctx.s_ps) <= 4**2 and calls.count(ctx.sxs_ps) <= 4**4
 
     def test_hideal_route_on_z2xz2(self, monkeypatch):
-        # The checker runs on the 4^2 pairs of positive cuts of the images of
-        # each (direction, side); computing the images calls maps only.
+        # The checker runs once per image: 2 directions x 2 sides x 9
+        # members, on S, L or R, and no pair carrier of L or R is built.
         ctx = build_context(corpus.z2xz2())
-        fams = _Families(ctx, tuple(Fraction(v) for v in GRID))
-        for c in "SLR":
-            fams.fuzzy(c)
-        honest = gammah.harness.is_fuzzy_h_ideal
-        calls = []
-
-        def counted(ps, mu, *args, **kwargs):
-            calls.append(ps)
-            return honest(ps, mu, *args, **kwargs)
-
-        monkeypatch.setattr(gammah.harness, "is_fuzzy_h_ideal", counted)
-        assert run_check("S4-hideal", ctx, GRID, fams).status == "pass"
-        assert len(calls) == 4 * 4**2
-        assert {id(ps) for ps in calls} == {id(ctx.ps(w)) for w in ("SxS", "LxL", "RxR")}
+        calls = _count_hideal_route(ctx, monkeypatch)
+        assert len(calls) == 2 * 2 * 9
+        _assert_factor_route(ctx, calls)
 
     def test_hideal_route_under_halved_maps(self, monkeypatch):
         # Halving every value below 1 gives images values no member takes, but
-        # keeps 1 at zero and keeps their cuts, so the check still passes on
-        # the 4^2 pairs of cuts of each (direction, side), with no full scan.
+        # keeps 1 at zero and keeps their cuts, so each image still passes on
+        # its own carrier, with no full scan.
         ctx = build_context(corpus.z2xz2())
-        fams = _Families(ctx, tuple(Fraction(v) for v in GRID))
-        for c in "SLR":
-            fams.fuzzy(c)
         for name in ("plus", "star", "plus_prime", "star_prime"):
             honest_map = getattr(gammah.correspondence, name)
             monkeypatch.setattr(
@@ -357,16 +351,36 @@ class TestLatticeRoute:
                 name,
                 lambda ctx, subset, honest_map=honest_map: _halve(honest_map(ctx, subset)),
             )
-        honest = gammah.harness.is_fuzzy_h_ideal
-        calls = []
+        calls = _count_hideal_route(ctx, monkeypatch)
+        assert len(calls) == 2 * 2 * 9
+        _assert_factor_route(ctx, calls)
 
-        def counted(ps, mu, *args, **kwargs):
-            calls.append(ps)
-            return honest(ps, mu, *args, **kwargs)
 
-        monkeypatch.setattr(gammah.harness, "is_fuzzy_h_ideal", counted)
-        assert run_check("S4-hideal", ctx, GRID, fams).status == "pass"
-        assert len(calls) == 4 * 4**2
+def _count_hideal_route(ctx, monkeypatch):
+    """The carriers of every is_fuzzy_h_ideal call of a passing S4-hideal,
+    families prebuilt."""
+    fams = _Families(ctx, tuple(Fraction(v) for v in GRID))
+    assert [len(fams.fuzzy(c).members) for c in "SLR"] == [9, 9, 9]
+    honest = gammah.harness.is_fuzzy_h_ideal
+    calls = []
+
+    def counted(ps, mu, *args, **kwargs):
+        calls.append(ps)
+        return honest(ps, mu, *args, **kwargs)
+
+    monkeypatch.setattr(gammah.harness, "is_fuzzy_h_ideal", counted)
+    assert run_check("S4-hideal", ctx, GRID, fams).status == "pass"
+    return calls
+
+
+def _assert_factor_route(ctx, calls):
+    assert {id(ps) for ps in calls} == {id(ctx.s_ps), id(ctx.l_ps), id(ctx.r_ps)}
+    memo = vars(ctx).get("_memo", {})
+    assert "LxL" not in memo and "RxR" not in memo
+    for mon in (ctx.l_monoid, ctx.r_monoid):
+        assert not any(
+            isinstance(key, tuple) and key[0] == "product" for key in vars(mon).get("_memo", {})
+        )
 
 
 def _halve(out):
@@ -468,3 +482,57 @@ def test_cartesian_inclusions_equal_loop(data):
     image_of = {m.values: im for m, im in zip(members, images)}
     expected = cartesian_inclusion_loop(members, lambda m: image_of[m.values])
     assert _cartesian_inclusions(members, images) == expected
+
+
+LEMMA_STRUCTURES = {
+    g.name: g for g in (corpus.z2xz2(), corpus.boolean_matrix_2x1(), corpus.upper_triangular())
+}
+
+
+@functools.cache
+def _lemma_context(name):
+    return build_context(LEMMA_STRUCTURES[name])
+
+
+@st.composite
+def _fuzzy_on(draw, ps):
+    """A grid-valued subset of ps's carrier: half of them arbitrary (1 at zero
+    or not), half a chain of h-closures, 1 on the first and falling from link
+    to link, so that both passes and failures of the h-ideal test occur."""
+    mon = ps.carrier
+    if draw(st.booleans()):
+        values = draw(st.lists(FRACTIONS, min_size=mon.n, max_size=mon.n))
+        if draw(st.booleans()):
+            values[mon.zero] = Fraction(1)
+        return FuzzySubset(mon, tuple(values))
+    below = draw(st.lists(st.sampled_from([Fraction(k, 4) for k in (1, 2, 3)]), unique=True))
+    levels = [Fraction(1), *sorted(below, reverse=True)]
+    seeds = [draw(st.lists(st.integers(0, mon.n - 1), max_size=2)) for _ in levels]
+    values = [Fraction(0)] * mon.n
+    for k, level in reversed(list(enumerate(levels))):
+        closed = h_closure(ps, [x for seed in seeds[: k + 1] for x in seed])
+        for x in closed.indices():
+            values[x] = level
+    return FuzzySubset(mon, tuple(values))
+
+
+@pytest.mark.parametrize("relation", ["honest", "skip-z"])
+@pytest.mark.parametrize("carrier", ["S", "L", "R"])
+@pytest.mark.parametrize("name", sorted(LEMMA_STRUCTURES))
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cartesian_product_lemma(name, carrier, relation, data):
+    """a x b is a fuzzy h-ideal with top at zero on the pair carrier exactly
+    when a and b are on their own carrier: the lemma S4-hideal is decided by.
+    Under the skip-z same-sum relation too, patched as in
+    test_lattice_route_equals_full_scan."""
+    ctx = _lemma_context(name)
+    ps, pair_ps = ctx.ps(carrier), ctx.ps(f"{carrier}x{carrier}")
+    a, b = data.draw(_fuzzy_on(ps)), data.draw(_fuzzy_on(ps))
+    with pytest.MonkeyPatch.context() as mp:
+        if relation == "skip-z":
+            mp.setattr(gammah.fuzzy, "same_sum_rows", corrupted_same_sum_rows)
+            mp.setattr(gammah.ideals, "same_sum_rows", corrupted_same_sum_rows)
+        factors = [is_fuzzy_h_ideal(ps, m, require_top=True).holds for m in (a, b)]
+        pair = is_fuzzy_h_ideal(pair_ps, cartesian(a, b), require_top=True).holds
+    assert pair == all(factors)
