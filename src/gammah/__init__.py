@@ -36,7 +36,6 @@ from .ideals import (
     CheckResult,
     CrispSubset,
     FuzzyHIdealFamily,
-    IdealKind,
     crisp,
     enumerate_fuzzy_h_ideals,
     enumerate_h_ideals,
@@ -45,7 +44,6 @@ from .ideals import (
     is_fuzzy_h_ideal,
     is_fuzzy_h_quasi_ideal,
     is_h_ideal,
-    is_ideal,
     is_prime_fuzzy_h_ideal,
     is_semiprime_fuzzy_h_ideal,
 )

@@ -406,6 +406,9 @@ def from_hemiring(
 def gamma_from_hemiring(h: Hemiring) -> GammaHemiring:
     """Same as from_hemiring but for an already validated Hemiring value."""
     n = h.n
+    limit = _cap(CELL_CAP_ENV, DEFAULT_CELL_CAP, None)
+    if n ** 3 > limit:
+        raise CapacityError(f"hemiring action needs {n ** 3} cells, cap is {limit}")
     mul = h.mul
     action = tuple(
         tuple(tuple(mul[mul[a][g]][b] for b in range(n)) for g in range(n))

@@ -2,14 +2,15 @@
 
 All infima become minima over the finite carriers.  The maps on operator
 elements evaluate on the induced action maps, which makes well-definedness on
-congruence classes automatic.  Each left/right pair of maps is one body that
-takes a side tag, "L" or "R"; the paper's names bind that tag.
+congruence classes automatic.  One table, `_transfer`, names the input rows
+of each side ("L" or "R") and direction; one body per kind of map (fuzzy,
+crisp, product) reads it, and the paper's names bind the side and direction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import NamedTuple
 
 from .core import (
@@ -37,21 +38,12 @@ from .operators import (
 
 
 class Side(NamedTuple):
-    """One operator hemiring with its embedding table and carriers.
+    """One operator hemiring with its embedding table and carrier."""
 
-    The pair carrier (LxL or RxR) is read from the context only when asked
-    for, so a map that never touches it never builds it.
-    """
-
-    ctx: "CorrespondenceContext"
     tag: str
     op: OperatorHemiring
     embed: tuple[tuple[int, ...], ...]  # embed[x][gamma]: index of [x,gamma] or [gamma,x]
     monoid: FiniteMonoid
-
-    @property
-    def pair_monoid(self) -> FiniteMonoid:
-        return self.ctx.lxl_monoid if self.tag == "L" else self.ctx.rxr_monoid
 
 
 @dataclass
@@ -59,9 +51,9 @@ class CorrespondenceContext:
     """A structure together with its operator hemirings and product carriers.
 
     Each carrier is one object, shared by its product structure and by
-    `cartesian`.  The LxL and RxR carriers and structures are built on first
-    read: they hold |L|^4 and |R|^4 cells, and most uses of a context need
-    none of them.
+    `cartesian`.  The pair carriers SxS, LxL and RxR are built on first read,
+    through `ps`: they hold |S|^4, |L|^4 and |R|^4 cells, and most uses of a
+    context need none of them.
     """
 
     G: GammaHemiring
@@ -69,42 +61,43 @@ class CorrespondenceContext:
     R: OperatorHemiring
     left_unity: Unity | None
     right_unity: Unity | None
-    s_monoid: FiniteMonoid
-    l_monoid: FiniteMonoid
-    r_monoid: FiniteMonoid
     s_ps: ProductStructure
     l_ps: ProductStructure
     r_ps: ProductStructure
-    sxs_monoid: FiniteMonoid
-    sxs_ps: ProductStructure
     left_embed: tuple[tuple[int, ...], ...] = field(repr=False, default=())
     right_embed: tuple[tuple[int, ...], ...] = field(repr=False, default=())
 
-    @cached_property
-    def lxl_monoid(self) -> FiniteMonoid:
-        return product_monoid(self.l_monoid, self.l_monoid)
-
-    @cached_property
-    def rxr_monoid(self) -> FiniteMonoid:
-        return product_monoid(self.r_monoid, self.r_monoid)
+    # The carrier monoids.  A pair monoid comes from product_monoid's memo,
+    # which is the carrier of the pair structure, built or not.
+    s_monoid = property(lambda self: self.s_ps.carrier)
+    l_monoid = property(lambda self: self.l_ps.carrier)
+    r_monoid = property(lambda self: self.r_ps.carrier)
+    sxs_ps = property(lambda self: self.ps("SxS"))
+    sxs_monoid = property(lambda self: product_monoid(self.s_monoid, self.s_monoid))
+    lxl_monoid = property(lambda self: product_monoid(self.l_monoid, self.l_monoid))
+    rxr_monoid = property(lambda self: product_monoid(self.r_monoid, self.r_monoid))
 
     def ps(self, which: str) -> ProductStructure:
         """The product structure of carrier S, L, R, SxS, LxL or RxR."""
-        if which in ("LxL", "RxR"):
-            # A hemiring's products of x and y are its column: the single product.
-            base = self.ps(which[0])
-            build = partial(pair_product_structure, base.carrier, base.pair_products)
-            return _memo(self, which, build)
-        fixed = {"S": self.s_ps, "L": self.l_ps, "R": self.r_ps, "SxS": self.sxs_ps}
-        if which not in fixed:
+        if which in ("S", "L", "R"):
+            return {"S": self.s_ps, "L": self.l_ps, "R": self.r_ps}[which]
+        if which not in ("SxS", "LxL", "RxR"):
             raise ValueError(f"unknown carrier {which!r}")
-        return fixed[which]
+
+        def build() -> ProductStructure:
+            # S multiplies along its Gamma-columns; a hemiring's column of x
+            # and y is the single product.
+            base = self.ps(which[0])
+            columns = action_columns(self.G) if which == "SxS" else base.pair_products
+            return pair_product_structure(base.carrier, columns)
+
+        return _memo(self, which, build)
 
     def side(self, tag: str) -> Side:
-        """The operator hemiring L or R with its embedding table and carriers."""
+        """The operator hemiring L or R with its embedding table and carrier."""
         if tag == "L":
-            return Side(self, tag, self.L, self.left_embed, self.l_monoid)
-        return Side(self, tag, self.R, self.right_embed, self.r_monoid)
+            return Side(tag, self.L, self.left_embed, self.l_monoid)
+        return Side(tag, self.R, self.right_embed, self.r_monoid)
 
 
 def _named(g: GammaHemiring) -> GammaHemiring:
@@ -127,21 +120,15 @@ def build_context(g: GammaHemiring, cap: int | None = None) -> CorrespondenceCon
     s_ps = as_product_structure(g)
     l_ps = hemiring_as_product_structure(left)
     r_ps = hemiring_as_product_structure(right)
-    sxs_ps = pair_product_structure(s_ps.carrier, action_columns(g))
     return CorrespondenceContext(
         G=g,
         L=left,
         R=right,
         left_unity=find_unity(g, left),
         right_unity=find_unity(g, right),
-        s_monoid=s_ps.carrier,
-        l_monoid=l_ps.carrier,
-        r_monoid=r_ps.carrier,
         s_ps=s_ps,
         l_ps=l_ps,
         r_ps=r_ps,
-        sxs_monoid=sxs_ps.carrier,
-        sxs_ps=sxs_ps,
         left_embed=_embed_table(g, left),
         right_embed=_embed_table(g, right),
     )
@@ -157,90 +144,93 @@ def _expect(subset, carrier: FiniteMonoid, what: str) -> None:
         raise ValueError(f"expected a {kind} {what}")
 
 
-def _fuzzy_down(tag: str, ctx: CorrespondenceContext, mu: FuzzySubset) -> FuzzySubset:
-    """Over S: x -> min over gamma of mu([x,gamma]) (L) or mu([gamma,x]) (R)."""
-    sd = ctx.side(tag)
-    _expect(mu, sd.monoid, tag)
-    values = tuple(
-        min(mu.values[sd.embed[x][ga]] for ga in range(ctx.G.Gamma.n))
-        for x in range(ctx.G.S.n)
-    )
-    return FuzzySubset(ctx.s_monoid, values)
+UP, DOWN = "up", "down"  # S -> L/R, and L/R -> S
 
 
-def _fuzzy_up(tag: str, ctx: CorrespondenceContext, sigma: FuzzySubset) -> FuzzySubset:
-    """Over L or R: class of f -> min over s of sigma(f(s))."""
+def _transfer(ctx: CorrespondenceContext, tag: str, direction: str):
+    """Source carrier, target carrier and input rows of a map between S and L or R.
+
+    Output point k reads the source points in rows[k]: going down, x in S
+    reads [x,gamma] (L) or [gamma,x] (R) for every gamma; going up, the class
+    of f reads f(s) for every s in S.
+    """
     sd = ctx.side(tag)
-    _expect(sigma, ctx.s_monoid, "S")
-    values = tuple(
-        min(sigma.values[m.table[s]] for s in range(ctx.G.S.n)) for m in sd.op.maps
-    )
-    return FuzzySubset(sd.monoid, values)
+    if direction == DOWN:
+        return tag, "S", sd.embed
+    return "S", tag, [m.table for m in sd.op.maps]
+
+
+def _mins(vals, rows) -> tuple:
+    """Output k is the min of vals over rows[k]."""
+    at = vals.__getitem__
+    return tuple([min(map(at, row)) for row in rows])
 
 
 def _crisp_down(tag: str, ctx: CorrespondenceContext, p: CrispSubset) -> CrispSubset:
     """{a in S : [a,gamma] (L) or [gamma,a] (R) lies in P for every gamma}."""
-    sd = ctx.side(tag)
-    _expect(p, sd.monoid, tag)
-    mask = 0
-    for x in range(ctx.G.S.n):
-        if all(p.members[sd.embed[x][ga]] for ga in range(ctx.G.Gamma.n)):
-            mask |= 1 << x
-    return crisp_from_mask(ctx.s_monoid, mask)
+    src, dst, rows = _transfer(ctx, tag, DOWN)
+    _expect(p, ctx.ps(src).carrier, src)
+    return CrispSubset(ctx.ps(dst).carrier, _mins(p.members, rows))
 
 
 def _crisp_up(tag: str, ctx: CorrespondenceContext, q: CrispSubset) -> CrispSubset:
     """{class of f : every finite sum of values of f lands in Q}."""
-    sd = ctx.side(tag)
-    _expect(q, ctx.s_monoid, "S")
+    src, dst, rows = _transfer(ctx, tag, UP)
+    mon = ctx.ps(src).carrier
+    _expect(q, mon, src)
     qmask = q.mask
     mask = 0
-    for k, m in enumerate(sd.op.maps):
+    for k, row in enumerate(rows):
         # All finite sums of values of the map: additive closure of its image.
         image = 0
-        for v in m.table:
+        for v in row:
             image |= 1 << v
-        if not additive_closure_mask(ctx.s_monoid, image) & ~qmask:
+        if not additive_closure_mask(mon, image) & ~qmask:
             mask |= 1 << k
-    return crisp_from_mask(sd.monoid, mask)
+    return crisp_from_mask(ctx.ps(dst).carrier, mask)
 
 
-def _pair_min(vals, n: int, rows: list[set[int]]) -> tuple:
-    """(a, b) -> min of vals[i * n + j] over i in rows[a], j in rows[b], a-major.
+def _fuzzy_map(
+    tag: str, direction: str, ctx: CorrespondenceContext, mu: FuzzySubset
+) -> FuzzySubset:
+    """Down: x -> min over gamma of mu([x,gamma]) (L) or mu([gamma,x]) (R).
+    Up: class of f -> min over s of mu(f(s))."""
+    src, dst, rows = _transfer(ctx, tag, direction)
+    _expect(mu, ctx.ps(src).carrier, src)
+    return FuzzySubset(ctx.ps(dst).carrier, _mins(mu.values, rows))
 
-    Rows hold distinct indices; the min over j is taken once per i and b.
+
+def _product_map(
+    tag: str, direction: str, ctx: CorrespondenceContext, phi: FuzzySubset
+) -> FuzzySubset:
+    """The map on pair carriers: (a, b) -> min of phi over rows[a] x rows[b], a-major.
+
+    The same min is taken once per coordinate, over rows of distinct indices:
+    over the second coordinate once per first-coordinate index, then over
+    the first.  Independent indices give, up, min over (s1, s2) of
+    phi(f(s1), g(s2)) and, down, min over (alpha, beta) of phi at the
+    embeddings of (x, alpha) and (y, beta).
     """
-    inner = {i: [min(vals[i * n + j] for j in rb) for rb in rows] for i in set().union(*rows)}
-    return tuple(min(inner[i][b] for i in ra) for ra in rows for b in range(len(rows)))
-
-
-def _product_down(tag: str, ctx: CorrespondenceContext, phi: FuzzySubset) -> FuzzySubset:
-    """Over SxS: (x,y) -> min over (alpha,beta) of phi at the embeddings of (x,alpha), (y,beta)."""
-    sd = ctx.side(tag)
-    _expect(phi, sd.pair_monoid, f"{tag}x{tag}")
-    values = _pair_min(phi.values, sd.op.n, [set(row) for row in sd.embed])
-    return FuzzySubset(ctx.sxs_monoid, values)
-
-
-def _product_up(tag: str, ctx: CorrespondenceContext, phi: FuzzySubset) -> FuzzySubset:
-    """Over LxL or RxR: (f,g) -> min over independent (s1,s2) of phi(f(s1), g(s2))."""
-    sd = ctx.side(tag)
-    _expect(phi, ctx.sxs_monoid, "SxS")
-    values = _pair_min(phi.values, ctx.G.S.n, [set(m.table) for m in sd.op.maps])
-    return FuzzySubset(sd.pair_monoid, values)
+    src, dst, rows = _transfer(ctx, tag, direction)
+    base, out = ctx.ps(src).carrier, ctx.ps(dst).carrier
+    _expect(phi, product_monoid(base, base), f"{src}x{src}")
+    n, vals, rows = base.n, phi.values, [set(row) for row in rows]
+    inner = {i: _mins(vals[i * n:(i + 1) * n], rows) for i in set().union(*rows)}
+    values = tuple(min(col) for ra in rows for col in zip(*[inner[i] for i in ra]))
+    return FuzzySubset(product_monoid(out, out), values)
 
 
 # The paper's names.  Callers look these up as module attributes at call time,
 # so patching one (fault injection, tracing) reaches every use.
-plus = partial(_fuzzy_down, "L")
-star = partial(_fuzzy_down, "R")
-plus_prime = partial(_fuzzy_up, "L")
-star_prime = partial(_fuzzy_up, "R")
+plus = partial(_fuzzy_map, "L", DOWN)
+star = partial(_fuzzy_map, "R", DOWN)
+plus_prime = partial(_fuzzy_map, "L", UP)
+star_prime = partial(_fuzzy_map, "R", UP)
 crisp_plus = partial(_crisp_down, "L")
 crisp_star = partial(_crisp_down, "R")
 crisp_plus_prime = partial(_crisp_up, "L")
 crisp_star_prime = partial(_crisp_up, "R")
-product_plus = partial(_product_down, "L")
-product_star = partial(_product_down, "R")
-product_plus_prime = partial(_product_up, "L")
-product_star_prime = partial(_product_up, "R")
+product_plus = partial(_product_map, "L", DOWN)
+product_star = partial(_product_map, "R", DOWN)
+product_plus_prime = partial(_product_map, "L", UP)
+product_star_prime = partial(_product_map, "R", UP)

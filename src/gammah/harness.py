@@ -18,7 +18,7 @@ from typing import Callable
 
 from . import correspondence as corr
 from .core import validate_gamma_hemiring, validate_hemiring
-from .correspondence import CorrespondenceContext
+from .correspondence import DOWN, UP, CorrespondenceContext
 from .fuzzy import (
     ONE,
     ZERO,
@@ -163,7 +163,6 @@ class _Families:
 
 # --- transfer maps and source families ----------------------------------------
 
-UP, DOWN = "up", "down"  # S -> L/R, and L/R -> S
 _MAP_NAMES = {
     ("L", UP): "plus_prime",
     ("L", DOWN): "plus",

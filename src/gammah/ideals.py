@@ -96,18 +96,6 @@ def crisp_from_mask(carrier: FiniteMonoid, mask: int) -> CrispSubset:
 
 
 @dataclass(frozen=True)
-class IdealKind:
-    sidedness: str = TWO_SIDED
-    flavor: str = "h-ideal"  # ideal | h-ideal
-
-    def __post_init__(self):
-        if self.sidedness not in SIDEDNESS:
-            raise ValueError(f"sidedness must be one of {SIDEDNESS}")
-        if self.flavor not in ("ideal", "h-ideal"):
-            raise ValueError("flavor must be 'ideal' or 'h-ideal'")
-
-
-@dataclass(frozen=True)
 class CheckResult:
     holds: bool
     condition: str | None = None
@@ -152,8 +140,10 @@ def _h_witness(mon: FiniteMonoid, predicate) -> dict:
     raise AssertionError("flagged h-condition failure without witness")
 
 
-def is_ideal(ps: ProductStructure, a: CrispSubset, kind: IdealKind) -> CheckResult:
-    """Closure under + and sided products; with flavor h-ideal, the h-condition too."""
+def is_h_ideal(ps: ProductStructure, a: CrispSubset, sidedness: str = TWO_SIDED) -> CheckResult:
+    """Closure under +, the sided products and the h-condition."""
+    if sidedness not in SIDEDNESS:
+        raise ValueError(f"sidedness must be one of {SIDEDNESS}")
     mon = ps.carrier
     if a.carrier != mon:
         raise ValueError("subset lives on a different carrier")
@@ -171,31 +161,27 @@ def is_ideal(ps: ProductStructure, a: CrispSubset, kind: IdealKind) -> CheckResu
             if not mask >> row[j] & 1:
                 return _fail("add-closed", {"a": lab[i], "b": lab[j]})
     ppm = pair_product_masks(ps)
-    if kind.sidedness in (TWO_SIDED, LEFT):
+    if sidedness in (TWO_SIDED, LEFT):
         for x in range(mon.n):
             row = ppm[x]
             for i in idx:
                 if row[i] & ~mask:
                     p = next(q for q in ps.pair_products[x][i] if not mask >> q & 1)
                     return _fail("left-absorbing", {"x": lab[x], "a": lab[i], "xa": lab[p]})
-    if kind.sidedness in (TWO_SIDED, RIGHT):
+    if sidedness in (TWO_SIDED, RIGHT):
         for i in idx:
             row = ppm[i]
             for x in range(mon.n):
                 if row[x] & ~mask:
                     p = next(q for q in ps.pair_products[i][x] if not mask >> q & 1)
                     return _fail("right-absorbing", {"a": lab[i], "x": lab[x], "ax": lab[p]})
-    if kind.flavor == "h-ideal" and h_hull(add, same_sum_rows(mon), mask, mask):
+    if h_hull(add, same_sum_rows(mon), mask, mask):
         witness = _h_witness(
             mon,
             lambda x, a, b: not mask >> x & 1 and mask >> a & 1 and mask >> b & 1,
         )
         return _fail("h-condition", witness)
     return _ok()
-
-
-def is_h_ideal(ps: ProductStructure, a: CrispSubset, sidedness: str = TWO_SIDED) -> CheckResult:
-    return is_ideal(ps, a, IdealKind(sidedness, "h-ideal"))
 
 
 def _closure_mask(ps: ProductStructure, mask: int, kind: str) -> int:

@@ -443,6 +443,24 @@ def product_cut_quasi_closure(ps: ProductStructure, mask: int) -> int:
         mask = out
 
 
+def down_comprehension(tag: str, ctx, mu: FuzzySubset) -> FuzzySubset:
+    """The down map as a min over every Gamma index of mu at embed(g, op, x, gamma)."""
+    from gammah.operators import embed
+
+    g, op = ctx.G, ctx.L if tag == "L" else ctx.R
+    values = tuple(
+        min(mu.values[embed(g, op, x, ga)] for ga in range(g.Gamma.n)) for x in range(g.S.n)
+    )
+    return FuzzySubset(ctx.s_monoid, values)
+
+
+def up_comprehension(tag: str, ctx, sigma: FuzzySubset) -> FuzzySubset:
+    """The up map as a min over every point s of S of sigma(f(s))."""
+    op, mon = (ctx.L, ctx.l_monoid) if tag == "L" else (ctx.R, ctx.r_monoid)
+    values = tuple(min(sigma.values[m.table[s]] for s in range(ctx.G.S.n)) for m in op.maps)
+    return FuzzySubset(mon, values)
+
+
 def product_down_comprehension(tag: str, ctx, phi: FuzzySubset) -> FuzzySubset:
     """The down product map as a min over every pair of Gamma indices, repeats included."""
     sd = ctx.side(tag)
@@ -464,7 +482,7 @@ def product_up_comprehension(tag: str, ctx, phi: FuzzySubset) -> FuzzySubset:
         for m1 in sd.op.maps
         for m2 in sd.op.maps
     )
-    return FuzzySubset(sd.pair_monoid, values)
+    return FuzzySubset(ctx.lxl_monoid if tag == "L" else ctx.rxr_monoid, values)
 
 
 def cartesian_inclusion_loop(members, image):

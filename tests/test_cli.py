@@ -119,6 +119,14 @@ class TestLargeClosures:
         assert code == 0
         assert "|L|=256" in out.splitlines()
 
+    def test_dump_tables_respects_cell_cap(self, capout, monkeypatch):
+        # |L| = 16 on Mat(B,2x1): its action table holds 16^3 = 4096 cells.
+        monkeypatch.setenv("GAMMAH_CELL_CAP", "100")
+        code, out, err = capout("operators", spath("mat_b_2x1"), "--side", "left", "--dump-tables")
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("capacity:")
+
     def test_verify_family_cap_exits_three(self, capout, monkeypatch):
         monkeypatch.setenv("GAMMAH_FUZZY_CANDIDATE_CAP", "1")
         code, out, err = capout("verify", spath("z2"))

@@ -29,7 +29,6 @@ from gammah.fuzzy import (
 from gammah.ideals import (
     BI,
     QUASI,
-    IdealKind,
     _closure_mask,
     crisp,
     enumerate_fuzzy_h_bi_ideals,
@@ -41,7 +40,6 @@ from gammah.ideals import (
     is_fuzzy_h_ideal,
     is_fuzzy_h_quasi_ideal,
     is_h_ideal,
-    is_ideal,
     is_prime_fuzzy_h_ideal,
     is_semiprime_fuzzy_h_ideal,
 )
@@ -121,20 +119,15 @@ def ps_b():
 
 
 class TestCrispIdeals:
-    def test_z4_even_ideal_holds(self, ps_z4):
-        res = is_ideal(ps_z4, crisp(ps_z4.carrier, [0, 2]), IdealKind("two-sided", "ideal"))
-        assert res.holds
-
     def test_boolean_zero_is_ideal_but_not_h(self, ps_b):
         zero = crisp(ps_b.carrier, [0])
-        assert is_ideal(ps_b, zero, IdealKind("two-sided", "ideal")).holds
         res = is_h_ideal(ps_b, zero)
         assert not res.holds
         assert res.condition == "h-condition"
         assert res.witness == {"x": "1", "a": "0", "b": "0", "z": "1"}
 
     def test_missing_zero_fails_precondition(self, ps_z2):
-        res = is_ideal(ps_z2, crisp(ps_z2.carrier, [1]), IdealKind())
+        res = is_h_ideal(ps_z2, crisp(ps_z2.carrier, [1]))
         assert not res.holds
         assert res.condition == "zero-membership"
 
@@ -145,7 +138,7 @@ class TestCrispIdeals:
         assert is_h_ideal(ps_z4, crisp(ps_z4.carrier, [0, 2])).holds
 
     def test_non_absorbing_reported(self, ps_z4):
-        res = is_ideal(ps_z4, crisp(ps_z4.carrier, [0, 1]), IdealKind())
+        res = is_h_ideal(ps_z4, crisp(ps_z4.carrier, [0, 1]))
         assert not res.holds
         assert res.condition in ("add-closed", "left-absorbing", "right-absorbing")
 
@@ -209,10 +202,7 @@ class TestHClosure:
                     continue
                 subset = crisp(ps.carrier, members)
                 fixed = h_closure(ps, subset).mask == subset.mask
-                kind = IdealKind("two-sided", "ideal")
-                assert is_h_ideal(ps, subset).holds == (
-                    fixed and is_ideal(ps, subset, kind).holds
-                )
+                assert is_h_ideal(ps, subset).holds == fixed
 
 
 class TestEnumerateHIdeals:
