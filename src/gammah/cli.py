@@ -26,6 +26,7 @@ from .core import (
 from .fuzzy import FuzzySubset, unit_rational
 from .harness import SUITES, run_suite
 from .ideals import (
+    _check_grid,
     enumerate_fuzzy_h_ideals,
     enumerate_h_ideals,
     is_fuzzy_h_bi_ideal,
@@ -194,12 +195,9 @@ def load_fuzzy(path: str, ctx: corr.CorrespondenceContext, structure_name: str):
 
 def _parse_grid(raw: str) -> tuple[Fraction, ...]:
     try:
-        vals = tuple(unit_rational(_exact(part.strip())) for part in raw.split(","))
+        return _check_grid([_exact(part.strip()) for part in raw.split(",")])
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad grid {raw!r}: {exc}") from exc
-    if list(vals) != sorted(set(vals)) or Fraction(0) not in vals or Fraction(1) not in vals:
-        raise InputError("grid must be a strictly ascending chain containing 0 and 1")
-    return vals
 
 
 def _validated(path: str) -> GammaHemiring:

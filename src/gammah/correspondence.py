@@ -9,9 +9,8 @@ crisp, product) reads it, and the paper's names bind the side and direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
 
 from .core import (
     FiniteMonoid,
@@ -31,19 +30,9 @@ from .operators import (
     OperatorHemiring,
     Unity,
     build_operator,
-    embed,
     find_unity,
     hemiring_as_product_structure,
 )
-
-
-class Side(NamedTuple):
-    """One operator hemiring with its embedding table and carrier."""
-
-    tag: str
-    op: OperatorHemiring
-    embed: tuple[tuple[int, ...], ...]  # embed[x][gamma]: index of [x,gamma] or [gamma,x]
-    monoid: FiniteMonoid
 
 
 @dataclass
@@ -64,8 +53,6 @@ class CorrespondenceContext:
     s_ps: ProductStructure
     l_ps: ProductStructure
     r_ps: ProductStructure
-    left_embed: tuple[tuple[int, ...], ...] = field(repr=False, default=())
-    right_embed: tuple[tuple[int, ...], ...] = field(repr=False, default=())
 
     # The carrier monoids.  A pair monoid comes from product_monoid's memo,
     # which is the carrier of the pair structure, built or not.
@@ -92,12 +79,6 @@ class CorrespondenceContext:
             return pair_product_structure(base.carrier, columns)
 
         return _memo(self, which, build)
-
-    def side(self, tag: str) -> Side:
-        """The operator hemiring L or R with its embedding table and carrier."""
-        if tag == "L":
-            return Side(tag, self.L, self.left_embed, self.l_monoid)
-        return Side(tag, self.R, self.right_embed, self.r_monoid)
 
 
 def _named(g: GammaHemiring) -> GammaHemiring:
@@ -129,13 +110,7 @@ def build_context(g: GammaHemiring, cap: int | None = None) -> CorrespondenceCon
         s_ps=s_ps,
         l_ps=l_ps,
         r_ps=r_ps,
-        left_embed=_embed_table(g, left),
-        right_embed=_embed_table(g, right),
     )
-
-
-def _embed_table(g: GammaHemiring, op: OperatorHemiring) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(embed(g, op, x, ga) for ga in range(g.Gamma.n)) for x in range(g.S.n))
 
 
 def _expect(subset, carrier: FiniteMonoid, what: str) -> None:
@@ -154,10 +129,10 @@ def _transfer(ctx: CorrespondenceContext, tag: str, direction: str):
     reads [x,gamma] (L) or [gamma,x] (R) for every gamma; going up, the class
     of f reads f(s) for every s in S.
     """
-    sd = ctx.side(tag)
+    op = ctx.L if tag == "L" else ctx.R
     if direction == DOWN:
-        return tag, "S", sd.embed
-    return "S", tag, [m.table for m in sd.op.maps]
+        return tag, "S", op.embed
+    return "S", tag, [m.table for m in op.maps]
 
 
 def _mins(vals, rows) -> tuple:

@@ -31,7 +31,6 @@ from .fuzzy import (
     intersect,
     is_subset,
     simple_h_product,
-    unit_rational,
 )
 from .ideals import (
     LEFT,
@@ -39,6 +38,7 @@ from .ideals import (
     SIDEDNESS,
     TWO_SIDED,
     FuzzyHIdealFamily,
+    _check_grid,
     enumerate_fuzzy_h_bi_ideals,
     enumerate_fuzzy_h_ideals,
     enumerate_fuzzy_h_quasi_ideals,
@@ -249,7 +249,8 @@ def _check_axioms(ctx, fams):
 
 def _check_embed_additive(ctx, fams):
     g = ctx.G
-    for tag, op, table in (("L", ctx.L, ctx.left_embed), ("R", ctx.R, ctx.right_embed)):
+    for tag, op in (("L", ctx.L), ("R", ctx.R)):
+        table = op.embed
         for x in range(g.S.n):
             for y in range(g.S.n):
                 xy = g.S.add[x][y]
@@ -276,13 +277,12 @@ def _check_mul_law(ctx, fams):
     g = ctx.G
     for op in (ctx.L, ctx.R):
         gens = [
-            FormalSum(op.side, ((x, ga) if op.side == "left" else (ga, x),))
+            (FormalSum(op.side, ((x, ga) if op.side == "left" else (ga, x),)), op.embed[x][ga])
             for x in range(g.S.n)
             for ga in range(g.Gamma.n)
         ]
-        classes = [op._index[realize(g, f).table] for f in gens]
-        for f1, k1 in zip(gens, classes):
-            for f2, k2 in zip(gens, classes):
+        for f1, k1 in gens:
+            for f2, k2 in gens:
                 via_table = op.maps[op.mul[k1][k2]].table
                 via_sum = realize(g, formal_product(g, f1, f2)).table
                 if via_table != via_sum:
@@ -438,7 +438,7 @@ def _check_complete_lattices(ctx, fams):
 def _indicator_square(ctx, fams, side, direction):
     """The fuzzy map of an indicator is the indicator of the crisp map."""
     fuzzy_map, crisp_map = _map(side, direction), _map(side, direction, "crisp_")
-    src, src_mon, dst_mon = "S", ctx.s_monoid, ctx.side(side).monoid
+    src, src_mon, dst_mon = "S", ctx.s_monoid, ctx.ps(side).carrier
     if direction == DOWN:
         src, src_mon, dst_mon = side, dst_mon, src_mon
     for sid in SIDEDNESS:
@@ -753,7 +753,7 @@ def run_check(
     if check_id not in _BY_ID:
         raise ValueError(f"unknown check id {check_id!r}")
     entry = _BY_ID[check_id]
-    grid = tuple(unit_rational(v) for v in grid)
+    grid = _check_grid(grid)
     if fams is None:
         fams = _Families(ctx, grid)
     start = time.perf_counter()
@@ -771,7 +771,7 @@ def run_suite(ctx: CorrespondenceContext, grid, suite: str = "all") -> SuiteRepo
     """Run every catalog check in the suite, in catalog order."""
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}")
-    grid = tuple(unit_rational(v) for v in grid)
+    grid = _check_grid(grid)
     fams = _Families(ctx, grid)
     results = []
     for entry in CATALOG:

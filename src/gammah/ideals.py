@@ -441,9 +441,9 @@ def _check_grid(grid: Sequence) -> tuple[Fraction, ...]:
 
 
 def _cut_family(
-    ps: ProductStructure, grid: Sequence, kind: str, cap: int | None
+    ps: ProductStructure, grid: tuple[Fraction, ...], kind: str, cap: int | None
 ) -> tuple[FuzzySubset, ...]:
-    """Every grid-valued member of a kind, sorted by values.
+    """Every member of a kind valued in a checked grid, sorted by values.
 
     By the level-subset theorem (module docstring) mu is a member exactly
     when its cuts at the positive grid values t_1 < ... < t_k form a chain
@@ -455,7 +455,7 @@ def _cut_family(
     of the kind, every cut here is such an element, and the theorem then
     makes each chain a member.
     """
-    levels = [t for t in _check_grid(grid) if t > 0]
+    levels = [t for t in grid if t > 0]
     mon = ps.carrier
     limit = _cap(CANDIDATE_CAP_ENV, DEFAULT_CANDIDATE_CAP, cap)
     lattice = [c.mask for c in enumerate_h_ideals(ps, kind)]
@@ -487,22 +487,22 @@ def enumerate_fuzzy_h_ideals(
     cap: int | None = None,
 ) -> FuzzyHIdealFamily:
     """Complete family of grid-valued fuzzy sided h-ideals with top at zero (_cut_family)."""
-    members = _cut_family(ps, grid, sidedness, cap)
-    return FuzzyHIdealFamily(ps.carrier, _check_grid(grid), sidedness, members)
+    grid = _check_grid(grid)
+    return FuzzyHIdealFamily(ps.carrier, grid, sidedness, _cut_family(ps, grid, sidedness, cap))
 
 
 def enumerate_fuzzy_h_bi_ideals(
     ps: ProductStructure, grid: Sequence, cap: int | None = None
 ) -> tuple[FuzzySubset, ...]:
     """All nonempty grid-valued fuzzy h-bi-ideals (_cut_family)."""
-    return _cut_family(ps, grid, BI, cap)
+    return _cut_family(ps, _check_grid(grid), BI, cap)
 
 
 def enumerate_fuzzy_h_quasi_ideals(
     ps: ProductStructure, grid: Sequence, cap: int | None = None
 ) -> tuple[FuzzySubset, ...]:
     """All nonempty grid-valued fuzzy h-quasi-ideals (_cut_family)."""
-    return _cut_family(ps, grid, QUASI, cap)
+    return _cut_family(ps, _check_grid(grid), QUASI, cap)
 
 
 RELATIVE = "relative-to-family"
@@ -521,14 +521,12 @@ def _prime_like(
         return CheckResult(False, condition=f"h-ideal:{base.condition}", witness=base.witness)
     if zeta.is_constant():
         return _fail("non-constant", {"value": str(zeta.values[0])})
-    pairs = (
-        ((m, m) for m in family.members)
-        if semiprime
-        else itertools.product(family.members, family.members)
-    )
+    # A pair with a member below zeta satisfies the implication, so only
+    # the members outside zeta are multiplied; the pairs keep their order.
+    outside = [m for m in family.members if not is_subset(m, zeta)]
+    pairs = zip(outside, outside) if semiprime else itertools.product(outside, outside)
     for mu, nu in pairs:
-        prod = simple_h_product(ps, mu, nu)
-        if is_subset(prod, zeta) and not (is_subset(mu, zeta) or is_subset(nu, zeta)):
+        if is_subset(simple_h_product(ps, mu, nu), zeta):
             witness = {"mu": [str(v) for v in mu.values]}
             if not semiprime:
                 witness["nu"] = [str(v) for v in nu.values]

@@ -117,7 +117,8 @@ class OperatorHemiring:
 
     Immutable by convention.  `maps[k]` is addressed externally by the stable
     label "op<k>" in closure-discovery order; `provenance[k]` is one formal
-    sum realizing it (first found).
+    sum realizing it (first found); `embed[x][gamma]` is the index of the
+    generator class [x,gamma] (left) or [gamma,x] (right).
     """
 
     def __init__(
@@ -129,6 +130,7 @@ class OperatorHemiring:
         mul: tuple[tuple[int, ...], ...],
         zero: int,
         provenance: tuple[FormalSum, ...],
+        embed: tuple[tuple[int, ...], ...],
     ):
         self.side = side
         self.structure = structure
@@ -137,6 +139,7 @@ class OperatorHemiring:
         self.mul = mul
         self.zero = zero
         self.provenance = provenance
+        self.embed = embed
         self._index = {m.table: i for i, m in enumerate(maps)}
 
     @property
@@ -213,11 +216,11 @@ def build_operator(g: GammaHemiring, side: str, cap: int | None = None) -> Opera
             prov.append(provenance())
         return k
 
-    for x in range(s.n):
-        for ga in range(g.Gamma.n):
-            pair = (x, ga) if side == LEFT else (ga, x)
-            f = FormalSum(side, (pair,))
-            admit(realize(g, f), lambda f=f: f)
+    def generator(x: int, ga: int) -> int:
+        f = FormalSum(side, ((x, ga) if side == LEFT else (ga, x),))
+        return admit(realize(g, f), lambda: f)
+
+    embed = tuple(tuple(generator(x, ga) for ga in range(g.Gamma.n)) for x in range(s.n))
 
     # add_rows[i] and mul_rows[i] hold the tabled results of map i with maps
     # 0..len-1; a round extends every row to the maps that existed when it
@@ -246,7 +249,7 @@ def build_operator(g: GammaHemiring, side: str, cap: int | None = None) -> Opera
     zero = index[tuple(s.zero for _ in range(s.n))]
     op = OperatorHemiring(
         side, g.name, tuple(maps), tuple(map(tuple, add_rows)), tuple(map(tuple, mul_rows)),
-        zero, tuple(prov),
+        zero, tuple(prov), embed,
     )
     for k, m in enumerate(maps):
         if m.table[s.zero] != s.zero:
@@ -272,15 +275,20 @@ class Unity:
 
 
 def find_unity(g: GammaHemiring, op: OperatorHemiring) -> Unity | None:
-    """Identity map membership; strong when a single generator already realizes it."""
-    identity = tuple(range(g.S.n))
-    for x in range(g.S.n):
-        for ga in range(g.Gamma.n):
-            pair = (x, ga) if op.side == LEFT else (ga, x)
-            f = FormalSum(op.side, (pair,))
-            if realize(g, f).table == identity:
-                return Unity(op.side, True, f)
-    k = op._index.get(identity)
+    """The identity map's class, if any, witnessed by its provenance.
+
+    The unity is strong (a single generator realizes it) exactly when its
+    provenance has one term, and then the provenance is the first such
+    generator in (x, gamma) order:
+      - build_operator admits every generator, in (x, gamma) order, before
+        any sum or product, so a class that some generator realizes has the
+        first such generator as its provenance;
+      - a sum has two or more terms;
+      - a product of two one-term sums is one term, so it is a generator.
+    So a class no generator realizes has a provenance of two or more terms.
+    """
+    k = op._index.get(tuple(range(g.S.n)))
     if k is None:
         return None
-    return Unity(op.side, False, op.provenance[k])
+    witness = op.provenance[k]
+    return Unity(op.side, len(witness.terms) == 1, witness)

@@ -463,8 +463,8 @@ def up_comprehension(tag: str, ctx, sigma: FuzzySubset) -> FuzzySubset:
 
 def product_down_comprehension(tag: str, ctx, phi: FuzzySubset) -> FuzzySubset:
     """The down product map as a min over every pair of Gamma indices, repeats included."""
-    sd = ctx.side(tag)
-    ns, ng, n, emb = ctx.G.S.n, ctx.G.Gamma.n, sd.op.n, sd.embed
+    op = ctx.L if tag == "L" else ctx.R
+    ns, ng, n, emb = ctx.G.S.n, ctx.G.Gamma.n, op.n, op.embed
     values = tuple(
         min(phi.values[emb[x][a] * n + emb[y][b]] for a in range(ng) for b in range(ng))
         for x in range(ns)
@@ -475,12 +475,12 @@ def product_down_comprehension(tag: str, ctx, phi: FuzzySubset) -> FuzzySubset:
 
 def product_up_comprehension(tag: str, ctx, phi: FuzzySubset) -> FuzzySubset:
     """The up product map as a min over every pair of points of S, repeats included."""
-    sd = ctx.side(tag)
+    op = ctx.L if tag == "L" else ctx.R
     ns = ctx.G.S.n
     values = tuple(
         min(phi.values[m1.table[s1] * ns + m2.table[s2]] for s1 in range(ns) for s2 in range(ns))
-        for m1 in sd.op.maps
-        for m2 in sd.op.maps
+        for m1 in op.maps
+        for m2 in op.maps
     )
     return FuzzySubset(ctx.lxl_monoid if tag == "L" else ctx.rxr_monoid, values)
 
@@ -510,3 +510,48 @@ def cartesian_inclusion_loop(members, image):
                         "larger": [vals(mu2), vals(s2)],
                     }
     return None
+
+
+def generator_scan_unity(g: GammaHemiring, op):
+    """The unity by realizing every generator in (x, gamma) order: strong,
+    witnessed by the first generator that acts as the identity; otherwise the
+    identity class's provenance; None when the closure has no identity.
+    """
+    from gammah.operators import FormalSum, Unity, realize
+
+    identity = tuple(range(g.S.n))
+    for x in range(g.S.n):
+        for ga in range(g.Gamma.n):
+            f = FormalSum(op.side, ((x, ga) if op.side == "left" else (ga, x),))
+            if realize(g, f).table == identity:
+                return Unity(op.side, True, f)
+    k = op._index.get(identity)
+    if k is None:
+        return None
+    return Unity(op.side, False, op.provenance[k])
+
+
+def pair_scan_prime_like(ps: ProductStructure, zeta: FuzzySubset, family, semiprime: bool):
+    """Prime (or semiprime) relative to the family, forming the simple
+    h-product of every pair (every diagonal pair) before asking whether a
+    member of the pair lies below zeta.
+    """
+    from gammah.fuzzy import is_subset, simple_h_product
+    from gammah.ideals import RELATIVE, CheckResult, is_fuzzy_h_ideal
+
+    base = is_fuzzy_h_ideal(ps, zeta, family.sidedness, require_top=True)
+    if not base.holds:
+        return CheckResult(False, condition=f"h-ideal:{base.condition}", witness=base.witness)
+    if zeta.is_constant():
+        return CheckResult(False, condition="non-constant", witness={"value": str(zeta.values[0])})
+    members = family.members
+    pairs = ((m, m) for m in members) if semiprime else itertools.product(members, members)
+    for mu, nu in pairs:
+        prod = simple_h_product(ps, mu, nu)
+        if is_subset(prod, zeta) and not (is_subset(mu, zeta) or is_subset(nu, zeta)):
+            witness = {"mu": [str(v) for v in mu.values]}
+            if not semiprime:
+                witness["nu"] = [str(v) for v in nu.values]
+            condition = "semiprime-implication" if semiprime else "prime-implication"
+            return CheckResult(False, condition=condition, witness=witness)
+    return CheckResult(True, qualifier=RELATIVE)

@@ -6,6 +6,7 @@ import pytest
 
 import gammah.core
 import gammah.correspondence
+import gammah.operators
 from gammah import corpus
 from gammah.core import (
     as_product_structure,
@@ -239,14 +240,40 @@ class TestContext:
         lmu = constant(ctx_z2.l_monoid, 1)
         assert cartesian(lmu, lmu).carrier == ctx_z2.lxl_monoid
 
-    def test_embedding_tables_match_embed(self, ctx_z4):
+    def test_embedding_tables_match_embed(self, all_corpus):
         from gammah.operators import embed
 
-        g = ctx_z4.G
-        for x in range(g.S.n):
-            for ga in range(g.Gamma.n):
-                assert ctx_z4.left_embed[x][ga] == embed(g, ctx_z4.L, x, ga)
-                assert ctx_z4.right_embed[x][ga] == embed(g, ctx_z4.R, x, ga)
+        mat = matrix_gamma_hemiring(corpus.zmod_hemiring(3), 2, 1)
+        for g in [*all_corpus, mat, corpus.zero_action(3)]:
+            ctx = build_context(g)
+            for op in (ctx.L, ctx.R):
+                assert op.embed == tuple(
+                    tuple(embed(ctx.G, op, x, ga) for ga in range(g.Gamma.n))
+                    for x in range(g.S.n)
+                ), (g.name, op.side)
+
+    def test_context_realizes_each_generator_once_per_side(self, all_corpus, monkeypatch):
+        # The two closures' generator loops are the only realizations: the
+        # embedding tables and the unities are read off the closures.
+        calls = []
+
+        def counted(g, f):
+            calls.append((f.side, f.terms))
+            return realize(g, f)
+
+        monkeypatch.setattr(gammah.operators, "realize", counted)
+        for g in [*all_corpus, corpus.zero_action(3)]:
+            calls.clear()
+            build_context(g)
+            generators = [
+                (side, (pair,))
+                for side in ("left", "right")
+                for x in range(g.S.n)
+                for ga in range(g.Gamma.n)
+                for pair in [(x, ga) if side == "left" else (ga, x)]
+            ]
+            assert len(calls) == 2 * g.S.n * g.Gamma.n, g.name
+            assert sorted(calls) == sorted(generators), g.name
 
     def test_pair_structure_matches_product_gamma_hemiring(self, all_corpus):
         for g in [*all_corpus, corpus.zero_action(3), corpus.zmod(6)]:
@@ -281,8 +308,6 @@ class TestContext:
         sigma = characteristic(ctx.s_monoid, [ctx.s_monoid.zero])
         plus(ctx, plus_prime(ctx, sigma))
         star(ctx, star_prime(ctx, sigma))
-        ctx.side("L")
-        ctx.side("R")
         assert built == []
         assert "_memo" not in vars(ctx)
 

@@ -119,6 +119,11 @@ class TestRunCheck:
         assert run_check("T3.15", ctx_z4, GRID).status == "pass"
         assert run_check("T3.16", ctx_z4, GRID).status == "pass"
 
+    def test_grid_without_zero_rejected(self, ctx_z2):
+        # S2-axioms reads no family, so only the up-front grid check sees this.
+        with pytest.raises(ValueError, match="0 and 1"):
+            run_check("S2-axioms", ctx_z2, ("1/2", "1"))
+
 
 class TestRunSuite:
     def test_section_filtering(self, ctx_z2):
@@ -128,6 +133,13 @@ class TestRunSuite:
     def test_unknown_suite(self, ctx_z2):
         with pytest.raises(ValueError):
             run_suite(ctx_z2, GRID, "section5")
+
+    def test_bad_grid_rejected_before_any_check(self, ctx_z2, monkeypatch):
+        ran = []
+        monkeypatch.setattr(gammah.harness, "validate_gamma_hemiring", ran.append)
+        with pytest.raises(ValueError, match="ascending"):
+            run_suite(ctx_z2, ("1", "0"))
+        assert ran == []
 
     def test_zero_action_section3_never_fails(self, ctx_zero_action):
         report = run_suite(ctx_zero_action, ("0", "1"), "section3")

@@ -48,6 +48,7 @@ from oracles import (
     brute_h_ideals,
     closure_subsets_h_ideals,
     direct_filter,
+    pair_scan_prime_like,
     product_cut_quasi_closure,
 )
 
@@ -509,6 +510,25 @@ class TestPrime:
         res = is_prime_fuzzy_h_ideal(ps_b, characteristic(ps_b.carrier, [0]), fam)
         assert not res.holds
         assert res.condition.startswith("h-ideal:")
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=str)
+    def test_scan_outside_zeta_matches_pair_scan(self, grid):
+        # Every member of the corpus's S, L and R families as zeta, against
+        # the loop that forms every pair's product before testing the pair.
+        for g in corpus.standard_corpus():
+            ctx = build_context(g)
+            for which in ("S", "L", "R"):
+                ps = ctx.ps(which)
+                fam = enumerate_fuzzy_h_ideals(ps, grid)
+                for zeta in fam.members:
+                    for semiprime, check in (
+                        (False, is_prime_fuzzy_h_ideal), (True, is_semiprime_fuzzy_h_ideal)
+                    ):
+                        want = pair_scan_prime_like(ps, zeta, fam, semiprime)
+                        got = check(ps, zeta, fam)
+                        assert (got.holds, got.condition, got.witness) == (
+                            want.holds, want.condition, want.witness
+                        ), (g.name, which, zeta.values, semiprime)
 
 
 class TestLatticeMeet:

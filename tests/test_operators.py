@@ -9,6 +9,7 @@ from gammah.core import (
     GammaHemiring,
     StructureError,
     matrix_gamma_hemiring,
+    product,
     validate_hemiring,
 )
 from gammah.operators import (
@@ -21,7 +22,26 @@ from gammah.operators import (
     realize,
     rho_equivalent,
 )
-from oracles import brute_operator, full_rescan_operator
+from oracles import brute_operator, full_rescan_operator, generator_scan_unity
+
+# Unities of every kind: strong on both sides, not strong on one side
+# (Mat(B,2x1) left, Mat(B,1x2) right), and none (Zero2, Zero3).
+UNITY_STRUCTURES = [
+    *corpus.standard_corpus(),
+    *(corpus.zmod(n) for n in (5, 6, 7, 8)),
+    corpus.upper_triangular(),
+    corpus.zero_action(2),
+    corpus.zero_action(3),
+    matrix_gamma_hemiring(corpus.boolean_hemiring(), 1, 2),
+    *(
+        matrix_gamma_hemiring(corpus.zmod_hemiring(n), rows, cols)
+        for n in (2, 3)
+        for rows, cols in ((2, 1), (1, 2))
+    ),
+    product(corpus.zmod(3), corpus.zmod(3)),
+    product(corpus.boolean(), corpus.boolean()),
+    matrix_gamma_hemiring(corpus.boolean_hemiring(), 2, 2),
+]
 
 
 class TestRealize:
@@ -252,6 +272,15 @@ class TestUnity:
         assert u is not None
         assert not u.strong
         assert len(u.witness.terms) == 2
+
+    @pytest.mark.parametrize("g", UNITY_STRUCTURES, ids=lambda g: g.name)
+    def test_unity_and_embed_match_generator_scans(self, g):
+        for side in ("left", "right"):
+            op = build_operator(g, side)
+            assert find_unity(g, op) == generator_scan_unity(g, op), (g.name, side)
+            assert op.embed == tuple(
+                tuple(embed(g, op, x, ga) for ga in range(g.Gamma.n)) for x in range(g.S.n)
+            ), (g.name, side)
 
     def test_z2_unity_label(self, ctx_z2):
         u = ctx_z2.left_unity
