@@ -22,8 +22,8 @@ from .core import (
     pair_product_structure,
     product_monoid,
 )
-from .fuzzy import FuzzySubset, additive_closure_mask
-from .ideals import CrispSubset, crisp_from_mask
+from .fuzzy import FuzzySubset
+from .ideals import CrispSubset
 from .operators import (
     LEFT,
     RIGHT,
@@ -141,28 +141,19 @@ def _mins(vals, rows) -> tuple:
     return tuple([min(map(at, row)) for row in rows])
 
 
-def _crisp_down(tag: str, ctx: CorrespondenceContext, p: CrispSubset) -> CrispSubset:
-    """{a in S : [a,gamma] (L) or [gamma,a] (R) lies in P for every gamma}."""
-    src, dst, rows = _transfer(ctx, tag, DOWN)
+def _crisp_map(
+    tag: str, direction: str, ctx: CorrespondenceContext, p: CrispSubset
+) -> CrispSubset:
+    """Down: {a in S : [a,gamma] (L) or [gamma,a] (R) lies in P for every gamma}.
+    Up: {class of f : every finite sum of values of f lies in P}.
+
+    Going up, the values of f already hold every finite sum of them:
+    build_operator rejects a map that is not additive or does not fix zero,
+    so its image is a submonoid of S, and its additive closure is itself.
+    """
+    src, dst, rows = _transfer(ctx, tag, direction)
     _expect(p, ctx.ps(src).carrier, src)
     return CrispSubset(ctx.ps(dst).carrier, _mins(p.members, rows))
-
-
-def _crisp_up(tag: str, ctx: CorrespondenceContext, q: CrispSubset) -> CrispSubset:
-    """{class of f : every finite sum of values of f lands in Q}."""
-    src, dst, rows = _transfer(ctx, tag, UP)
-    mon = ctx.ps(src).carrier
-    _expect(q, mon, src)
-    qmask = q.mask
-    mask = 0
-    for k, row in enumerate(rows):
-        # All finite sums of values of the map: additive closure of its image.
-        image = 0
-        for v in row:
-            image |= 1 << v
-        if not additive_closure_mask(mon, image) & ~qmask:
-            mask |= 1 << k
-    return crisp_from_mask(ctx.ps(dst).carrier, mask)
 
 
 def _fuzzy_map(
@@ -201,10 +192,10 @@ plus = partial(_fuzzy_map, "L", DOWN)
 star = partial(_fuzzy_map, "R", DOWN)
 plus_prime = partial(_fuzzy_map, "L", UP)
 star_prime = partial(_fuzzy_map, "R", UP)
-crisp_plus = partial(_crisp_down, "L")
-crisp_star = partial(_crisp_down, "R")
-crisp_plus_prime = partial(_crisp_up, "L")
-crisp_star_prime = partial(_crisp_up, "R")
+crisp_plus = partial(_crisp_map, "L", DOWN)
+crisp_star = partial(_crisp_map, "R", DOWN)
+crisp_plus_prime = partial(_crisp_map, "L", UP)
+crisp_star_prime = partial(_crisp_map, "R", UP)
 product_plus = partial(_product_map, "L", DOWN)
 product_star = partial(_product_map, "R", DOWN)
 product_plus_prime = partial(_product_map, "L", UP)

@@ -13,9 +13,10 @@ exactly when, at t = that min, the inputs lie in mu_t and the output does not.
 The quasi condition reads by cuts too: cut_t(mu oh chi) = hull(mu_t . S).  So a
 grid-valued mu is a member exactly when it is nonzero (for h-ideals: 1 at
 zero) and each nonempty positive cut is a closed set of the kind (Das 1981;
-Liu 1982).  The closed sets form a Moore family (_closure_mask), listed and
-certified by enumerate_h_ideals; _cut_family walks the antitone chains of cuts
-over them, each of which the theorem makes a member.
+Liu 1982).  The closed sets form a Moore family: they are the fixpoints of
+_closure_mask, whose rules are the crisp membership conditions of each kind,
+and enumerate_h_ideals lists them; _cut_family walks the antitone chains of
+cuts over them, each of which the theorem makes a member.
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ from .fuzzy import (
     ONE,
     ZERO,
     FuzzySubset,
-    _bits,
     _inside,
     additive_closure_mask,
-    characteristic,
     constant,
     cut_mask,
     generalized_h_product,
@@ -249,12 +248,11 @@ def enumerate_h_ideals(
     Closed sets form a Moore family (_closure_mask), so each is the join of
     the principal closures of its elements: closing the principals under
     pairwise join enumerates the lattice without walking 2^n subsets; more
-    than DEFAULT_LATTICE_CAP closed sets raise CapacityError.  Each result is
-    re-verified, the certificate _cut_family relies on: a sided h-ideal by the
-    crisp definition (is_h_ideal), which by the one-cut case of the
-    level-subset theorem is the fuzzy checker on its characteristic function;
-    a BI or QUASI set by the kind's fuzzy checker on that function.  Sorted by
-    size, then lexicographically.
+    than DEFAULT_LATTICE_CAP closed sets raise CapacityError.  Nothing is
+    re-checked: _closure_mask returns a set only when no rule adds to it, the
+    rules of each kind are its crisp membership conditions, and by the one-cut
+    case of the level-subset theorem those are the kind's fuzzy checker on the
+    characteristic function.  Sorted by size, then lexicographically.
     """
     _require_kind(sidedness)
     mon = ps.carrier
@@ -281,14 +279,6 @@ def enumerate_h_ideals(
         worklist = fresh
     ideals = [crisp_from_mask(mon, m) for m in found]
     ideals.sort(key=lambda c: (c.size(), c.indices()))
-    fuzzy_check = is_fuzzy_h_bi_ideal if sidedness == BI else is_fuzzy_h_quasi_ideal
-    for c in ideals:
-        if sidedness in SIDEDNESS:
-            res = is_h_ideal(ps, c, sidedness)
-        else:
-            res = fuzzy_check(ps, characteristic(mon, c.indices()))
-        if not res.holds:
-            raise AssertionError(f"closure produced a non-member: {res.describe()}")
     return ideals
 
 
@@ -451,33 +441,32 @@ def _cut_family(
     C_k nonempty (mu(zero) = 1); the chain gives mu(x) = max{t_j : x in C_j},
     or 0.  For BI and QUASI the cuts above C_1 may be empty.  More chains
     than the candidate cap raise CapacityError.  Members are not re-checked:
-    enumerate_h_ideals has certified every lattice element as a closed set
-    of the kind, every cut here is such an element, and the theorem then
-    makes each chain a member.
+    every cut here is a fixpoint of _closure_mask, a closed set of the kind,
+    and the theorem then makes each chain a member.
+
+    The chains grow one level at a time, each held as its last cut and the
+    values it sets so far.  A chain can always repeat its last cut, so the
+    count never falls from one level to the next, and a level past the cap
+    ends the walk with at most limit + 1 chains held.
     """
-    levels = [t for t in grid if t > 0]
     mon = ps.carrier
     limit = _cap(CANDIDATE_CAP_ENV, DEFAULT_CANDIDATE_CAP, cap)
     lattice = [c.mask for c in enumerate_h_ideals(ps, kind)]
     upper = lattice if kind in SIDEDNESS else lattice + [0]
-    members: list[FuzzySubset] = []
-
-    def walk(cuts: list[int]) -> None:
-        if len(cuts) == len(levels):
-            if len(members) == limit:
-                raise CapacityError(f"more than {limit} level-set chains in the family")
-            values = [ZERO] * mon.n
-            for t, cut in zip(levels, cuts):
-                for x in _bits(cut):
-                    values[x] = t
-            members.append(FuzzySubset(mon, tuple(values)))
-            return
-        for m in (c for c in upper if not c & ~cuts[-1]) if cuts else lattice:
-            walk(cuts + [m])
-
-    walk([])
-    members.sort(key=lambda m: m.values)
-    return tuple(members)
+    chains = [((1 << mon.n) - 1, (ZERO,) * mon.n)]
+    pool = lattice
+    for t in (t for t in grid if t > 0):
+        step = (
+            (m, tuple(t if m >> x & 1 else v for x, v in enumerate(values)))
+            for last, values in chains
+            for m in pool
+            if not m & ~last
+        )
+        chains = list(itertools.islice(step, limit + 1))
+        if len(chains) > limit:
+            raise CapacityError(f"more than {limit} level-set chains in the family")
+        pool = upper
+    return tuple(FuzzySubset(mon, values) for values in sorted(v for _, v in chains))
 
 
 def enumerate_fuzzy_h_ideals(

@@ -461,6 +461,23 @@ def up_comprehension(tag: str, ctx, sigma: FuzzySubset) -> FuzzySubset:
     return FuzzySubset(mon, values)
 
 
+def sum_closure_up(tag: str, ctx, q) -> tuple[bool, ...]:
+    """The crisp up map from its definition: the classes of f whose every
+    finite sum of values lies in Q, the sums closed by a plain fixpoint."""
+    op = ctx.L if tag == "L" else ctx.R
+    add = ctx.s_monoid.add
+    out = []
+    for m in op.maps:
+        sums = set(m.table)
+        while True:
+            more = sums | {add[a][b] for a in sums for b in sums}
+            if more == sums:
+                break
+            sums = more
+        out.append(all(q.members[v] for v in sums))
+    return tuple(out)
+
+
 def product_down_comprehension(tag: str, ctx, phi: FuzzySubset) -> FuzzySubset:
     """The down product map as a min over every pair of Gamma indices, repeats included."""
     op = ctx.L if tag == "L" else ctx.R

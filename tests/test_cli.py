@@ -357,6 +357,13 @@ class TestExitCodeContract:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_long_grid(self, capout, tmp_path):
+        # 1199 positive levels, past the interpreter's recursion limit.
+        mu = write_fuzzy(tmp_path, {"over": "S", "values": {"0": "1/2"}})
+        grid = ",".join(f"{i}/1199" for i in range(1200))
+        code, out, err = capout("check", spath("z2"), mu, "--kind", "prime", "--grid", grid)
+        assert (code, out, err) == (1, "fails: h-ideal:top-at-zero zero=0, value=1/2\n", "")
+
     def test_huge_grid_exponent(self, capout):
         code, _, err = capout("verify", spath("b"), "--grid", "0,1e-999999999,1")
         assert code == 2

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -44,6 +45,7 @@ from oracles import (
     pair_hemiring_ps,
     product_down_comprehension,
     product_up_comprehension,
+    sum_closure_up,
     up_comprehension,
 )
 
@@ -127,6 +129,29 @@ class TestCrispMaps:
         tables = {ctx_z4.L.maps[k].table for k in image.indices()}
         assert tables == {(0, 0, 0, 0), (0, 2, 0, 2)}
         assert crisp_star_prime(ctx_z4, q).size() == 2
+
+    UP_STRUCTURES = {
+        **{g.name: (lambda g=g: g) for g in corpus.standard_corpus()},
+        **{f"Z{n}": partial(corpus.zmod, n) for n in (5, 6, 8)},
+        "UT2(Z2)": corpus.upper_triangular,
+        "Zero2": partial(corpus.zero_action, 2),
+        "Zero3": partial(corpus.zero_action, 3),
+        "Mat(Z2,2x1)": lambda: matrix_gamma_hemiring(corpus.zmod_hemiring(2), 2, 1),
+        "Mat(Z2,1x2)": lambda: matrix_gamma_hemiring(corpus.zmod_hemiring(2), 1, 2),
+        "Mat(B,1x2)": lambda: matrix_gamma_hemiring(corpus.boolean_hemiring(), 1, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(UP_STRUCTURES))
+    def test_up_maps_need_no_sum_closure(self, name):
+        # Each map's values already form a submonoid (build_operator admits
+        # only additive, zero-fixing maps), so reading the values alone
+        # agrees with closing them under + first, on every subset of S.
+        ctx = build_context(self.UP_STRUCTURES[name]())
+        mon = ctx.s_monoid
+        for bits in range(1 << mon.n):
+            q = crisp(mon, [i for i in range(mon.n) if bits >> i & 1])
+            for tag, up in (("L", crisp_plus_prime), ("R", crisp_star_prime)):
+                assert up(ctx, q).members == sum_closure_up(tag, ctx, q), (tag, bits)
 
     def test_indicator_squares_on_z4(self, ctx_z4):
         for ideal in enumerate_h_ideals(ctx_z4.s_ps):

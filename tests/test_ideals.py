@@ -29,6 +29,7 @@ from gammah.fuzzy import (
 from gammah.ideals import (
     BI,
     QUASI,
+    CheckResult,
     _closure_mask,
     crisp,
     enumerate_fuzzy_h_bi_ideals,
@@ -93,6 +94,25 @@ def matrix_ring_left():
 DIRECT_LIMIT = 6 * 10**5
 DIRECT_CARRIERS = sorted(k for k, ps in CARRIERS.items() if 3**ps.carrier.n <= DIRECT_LIMIT)
 SMALL_CARRIERS = sorted(k for k, ps in CARRIERS.items() if ps.carrier.n <= 5)
+LATTICE_CARRIERS = sorted(k for k, ps in CARRIERS.items() if ps.carrier.n <= 6)
+
+
+def checker_lattice(ps, kind) -> list[tuple[int, ...]]:
+    """The closed sets of a kind by the checkers, over every nonempty subset:
+    is_h_ideal for a sidedness, the fuzzy checker on chi_A for BI and QUASI."""
+    mon = ps.carrier
+    want = []
+    for bits in range(1, 1 << mon.n):
+        members = [i for i in range(mon.n) if bits >> i & 1]
+        if any(not bits >> mon.add[a][b] & 1 for a in members for b in members):
+            continue  # every kind is closed under addition
+        if kind not in (BI, QUASI):
+            holds = is_h_ideal(ps, crisp(mon, members), kind).holds
+        else:
+            holds = fuzzy_check(kind)(ps, characteristic(mon, members)).holds
+        if holds:
+            want.append(tuple(members))
+    return sorted(want, key=lambda t: (len(t), t))
 
 
 def fuzzy_check(kind):
@@ -242,21 +262,36 @@ class TestEnumerateHIdeals:
             for a, b in itertools.combinations_with_replacement(ideals, 2):
                 assert a.mask & b.mask in masks
 
-    @pytest.mark.parametrize("kind", [BI, QUASI])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_bi_quasi_lattices_match_checker_on_matrix_ring(self, kind):
         # L of Mat(Z2,2x1) acts as the 2x2 matrices over Z2, where quasi-ideals
         # such as {0, E11} are neither left nor right ideals.
-        ps = build_context(matrix_gamma_hemiring(corpus.zmod_hemiring(2), 2, 1)).l_ps
-        mon = ps.carrier
-        want = []
-        for bits in range(1, 1 << mon.n):
-            members = [i for i in range(mon.n) if bits >> i & 1]
-            if any(not bits >> mon.add[a][b] & 1 for a in members for b in members):
-                continue  # every kind is closed under addition
-            if fuzzy_check(kind)(ps, characteristic(mon, members)).holds:
-                want.append(tuple(members))
+        ps = matrix_ring_left()
         got = [c.indices() for c in enumerate_h_ideals(ps, kind)]
-        assert got == sorted(want, key=lambda t: (len(t), t))
+        assert got == checker_lattice(ps, kind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("carrier", LATTICE_CARRIERS)
+    def test_lattices_match_checker(self, carrier, kind):
+        # The lattice is the closure's fixpoints and is not re-checked, so
+        # the checkers' verdicts are compared here, on every subset.
+        ps = CARRIERS[carrier]
+        got = [c.indices() for c in enumerate_h_ideals(ps, kind)]
+        assert got == checker_lattice(ps, kind)
+
+    def test_no_checker_call(self, monkeypatch):
+        calls = []
+        for name in ("is_h_ideal", "is_fuzzy_h_bi_ideal", "is_fuzzy_h_quasi_ideal"):
+
+            def counted(*args, name=name, **kwargs):
+                calls.append(name)
+                return CheckResult(True)
+
+            monkeypatch.setattr(gammah.ideals, name, counted)
+        ps = build_context(corpus.boolean_matrix_2x1()).l_ps
+        for kind in KINDS:
+            assert enumerate_h_ideals(ps, kind), kind
+        assert calls == []
 
     @pytest.mark.parametrize("sidedness", ["left", "right"])
     def test_one_sided_lattices_on_matrix_ring(self, sidedness):
@@ -266,23 +301,6 @@ class TestEnumerateHIdeals:
         got = [c.indices() for c in enumerate_h_ideals(ps, sidedness)]
         assert len(got) == 5
         assert got == brute_h_ideals(ps, sidedness)
-
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize(
-        "structure, fake",
-        [
-            # Every subset: {1} of Z4 is not even closed under addition.
-            (corpus.zmod(4), lambda ps, mask, kind: mask),
-            # Zero added, nothing closed: {0} of B fails the h-condition only.
-            (corpus.boolean(), lambda ps, mask, kind: mask | 1 << ps.carrier.zero),
-        ],
-        ids=["identity-on-Z4", "zero-only-on-B"],
-    )
-    def test_certificate_rejects_unclosed_sets(self, monkeypatch, structure, fake, kind):
-        ps = as_product_structure(structure)
-        monkeypatch.setattr(gammah.ideals, "_closure_mask", fake)
-        with pytest.raises(AssertionError, match="non-member"):
-            enumerate_h_ideals(ps, kind)
 
     def test_carrier_cap(self, ps_z4):
         with pytest.raises(CapacityError):
@@ -447,6 +465,20 @@ class TestFamilies:
     def test_h_family_capped(self, ps_z4):
         with pytest.raises(CapacityError):
             enumerate_fuzzy_h_ideals(ps_z4, GRID, cap=1)
+
+    def test_cap_counts_chains(self, ps_z2):
+        # Z2 has three members at GRID: a cap of 3 admits them, 2 does not.
+        assert len(enumerate_fuzzy_h_ideals(ps_z2, GRID, cap=3).members) == 3
+        with pytest.raises(CapacityError, match="more than 2"):
+            enumerate_fuzzy_h_ideals(ps_z2, GRID, cap=2)
+
+    def test_long_grid(self, ps_z2):
+        # 1500 positive levels, past the interpreter's recursion limit; one
+        # member per value of mu(1).
+        grid = [Fraction(i, 1500) for i in range(1501)]
+        fam = enumerate_fuzzy_h_ideals(ps_z2, grid)
+        assert len(fam.members) == 1501
+        assert [m.values for m in fam.members] == [(Fraction(1), t) for t in grid]
 
     def test_grid_must_contain_bounds(self, ps_z2):
         with pytest.raises(ValueError):
