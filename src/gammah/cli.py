@@ -26,6 +26,7 @@ from .core import (
 from .fuzzy import FuzzySubset, unit_rational
 from .harness import SUITES, run_suite
 from .ideals import (
+    FuzzyHIdealFamily,
     _check_grid,
     enumerate_fuzzy_h_ideals,
     enumerate_h_ideals,
@@ -279,6 +280,8 @@ def cmd_h_ideals(args) -> int:
 
 def cmd_check(args) -> int:
     g = _validated(args.structure)
+    if args.kind in ("prime", "semiprime"):
+        grid = _parse_grid(args.grid)
     ctx = corr.build_context(g)
     over, mu = load_fuzzy(args.fuzzy, ctx, g.name)
     ps = ctx.ps(over)
@@ -289,8 +292,12 @@ def cmd_check(args) -> int:
     elif args.kind == "quasi":
         res = is_fuzzy_h_quasi_ideal(ps, mu)
     else:
-        grid = _parse_grid(args.grid)
-        family = enumerate_fuzzy_h_ideals(ps, grid, args.side)
+        # A candidate that is no h-ideal with top at zero fails on its own;
+        # the empty family lets the check report that failure unchanged.
+        if is_fuzzy_h_ideal(ps, mu, args.side, require_top=True).holds:
+            family = enumerate_fuzzy_h_ideals(ps, grid, args.side)
+        else:
+            family = FuzzyHIdealFamily(ps.carrier, grid, args.side, ())
         check = is_prime_fuzzy_h_ideal if args.kind == "prime" else is_semiprime_fuzzy_h_ideal
         res = check(ps, mu, family)
     print(res.describe())
@@ -317,8 +324,8 @@ def cmd_map(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _validated(args.structure)
-    ctx = corr.build_context(g)
     grid = _parse_grid(args.grid)
+    ctx = corr.build_context(g)
     report = run_suite(ctx, grid, args.suite)
     print(report.to_json(with_timings=args.timings))
     return OK if report.overall == "pass" else CHECK_FAILED

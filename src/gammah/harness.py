@@ -33,15 +33,15 @@ from .fuzzy import (
     simple_h_product,
 )
 from .ideals import (
+    BI as BI_KIND,
     LEFT,
+    QUASI as QUASI_KIND,
     RIGHT,
     SIDEDNESS,
     TWO_SIDED,
     FuzzyHIdealFamily,
     _check_grid,
-    enumerate_fuzzy_h_bi_ideals,
     enumerate_fuzzy_h_ideals,
-    enumerate_fuzzy_h_quasi_ideals,
     enumerate_h_ideals,
     is_fuzzy_h_bi_ideal,
     is_fuzzy_h_ideal,
@@ -130,25 +130,15 @@ class _Families:
             self._cache[key] = build()
         return self._cache[key]
 
-    def fuzzy(self, which: str, sidedness: str = TWO_SIDED) -> FuzzyHIdealFamily:
+    def fuzzy(self, which: str, kind: str = TWO_SIDED) -> FuzzyHIdealFamily:
         return self._cached(
-            ("fuzzy", which, sidedness),
-            lambda: enumerate_fuzzy_h_ideals(self.ctx.ps(which), self.grid, sidedness),
+            ("fuzzy", which, kind),
+            lambda: enumerate_fuzzy_h_ideals(self.ctx.ps(which), self.grid, kind),
         )
 
     def crisp(self, which: str, sidedness: str = TWO_SIDED):
         return self._cached(
             ("crisp", which, sidedness), lambda: enumerate_h_ideals(self.ctx.ps(which), sidedness)
-        )
-
-    def bi(self, which: str) -> tuple[FuzzySubset, ...]:
-        return self._cached(
-            ("bi", which), lambda: enumerate_fuzzy_h_bi_ideals(self.ctx.ps(which), self.grid)
-        )
-
-    def quasi(self, which: str) -> tuple[FuzzySubset, ...]:
-        return self._cached(
-            ("quasi", which), lambda: enumerate_fuzzy_h_quasi_ideals(self.ctx.ps(which), self.grid)
         )
 
     def primes(self, which: str, semi: bool = False) -> tuple[FuzzySubset, ...]:
@@ -217,12 +207,12 @@ PRIME = _Source(
 )
 BI = _Source(
     (None,),
-    lambda fams, c, _: fams.bi(c),
+    lambda fams, c, _: fams.fuzzy(c, BI_KIND).members,
     lambda fams, c, mu, _: is_fuzzy_h_bi_ideal(fams.ctx.ps(c), mu),
 )
 QUASI = _Source(
     (None,),
-    lambda fams, c, _: fams.quasi(c),
+    lambda fams, c, _: fams.fuzzy(c, QUASI_KIND).members,
     lambda fams, c, mu, _: is_fuzzy_h_quasi_ideal(fams.ctx.ps(c), mu),
 )
 

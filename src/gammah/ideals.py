@@ -34,7 +34,6 @@ from .fuzzy import (
     _inside,
     additive_closure_mask,
     constant,
-    cut_mask,
     generalized_h_product,
     h_hull,
     intersect,
@@ -282,15 +281,19 @@ def enumerate_h_ideals(
     return ideals
 
 
-def _fuzzy_head_checks(
-    ps: ProductStructure,
-    mu: FuzzySubset,
-    sidedness: str | None = None,
-    require_top: bool = False,
-) -> CheckResult | None:
-    """Nonempty, top, additivity and sided product conditions; None when fine.
+def _fuzzy_check(
+    ps: ProductStructure, mu: FuzzySubset, kind: str, require_top: bool = False
+) -> CheckResult:
+    """The first failing condition of a kind (a sidedness, BI or QUASI), else a pass.
 
-    Without a sidedness the product conditions are left to the caller.
+    The conditions run in a fixed order, each over its elements in index
+    order, so witnesses are reproducible: nonempty; top at zero when asked;
+    additive; the kind's own (left- then right-product at each (x, y, p) for
+    a sidedness, product then sandwich for BI, the quasi-intersection for
+    QUASI); the h-condition.  Each compares values of mu, so their ranks in
+    mu's value chain decide it, as ints rather than Fractions; the
+    quasi-intersection alone compares Fractions, at n points, because the
+    h-products' values need not lie in that chain.
     """
     mon = ps.carrier
     lab = mon.elements
@@ -300,46 +303,66 @@ def _fuzzy_head_checks(
         return _fail("nonempty")
     if require_top and mu.values[mon.zero] != ONE:
         return _fail("top-at-zero", {"zero": lab[mon.zero], "value": str(mu.values[mon.zero])})
+    n = mon.n
     add = mon.add
-    # Every condition below compares values, so their ranks in mu's value
-    # chain decide it, as ints rather than Fractions.
+    pp = ps.pair_products
     rank = {v: i for i, v in enumerate(sorted(set(mu.values)))}
     vals = [rank[v] for v in mu.values]
-    for x in range(mon.n):
+    for x in range(n):
         row = add[x]
         vx = vals[x]
-        for y in range(mon.n):
+        for y in range(n):
             m = vals[y] if vals[y] < vx else vx
             if vals[row[y]] < m:
+                return _fail("additive", {"x": lab[x], "y": lab[y], "x+y": lab[row[y]]})
+    if kind in SIDEDNESS:
+        left, right = kind != RIGHT, kind != LEFT
+        for x in range(n):
+            for y in range(n):
+                for p in pp[x][y]:
+                    if left and vals[p] < vals[y]:
+                        return _fail("left-product", {"x": lab[x], "y": lab[y], "xy": lab[p]})
+                    if right and vals[p] < vals[x]:
+                        return _fail("right-product", {"x": lab[x], "y": lab[y], "xy": lab[p]})
+    elif kind == BI:
+        for x in range(n):
+            vx = vals[x]
+            for y in range(n):
+                m = vals[y] if vals[y] < vx else vx
+                for p in pp[x][y]:
+                    if vals[p] < m:
+                        return _fail("product", {"x": lab[x], "y": lab[y], "xy": lab[p]})
+        for x in range(n):
+            vx = vals[x]
+            for y in range(n):
+                for p in pp[x][y]:
+                    row = pp[p]
+                    for z in range(n):
+                        m = vals[z] if vals[z] < vx else vx
+                        for q in row[z]:
+                            if vals[q] < m:
+                                return _fail(
+                                    "sandwich",
+                                    {"x": lab[x], "y": lab[y], "z": lab[z], "xyz": lab[q]},
+                                )
+    else:
+        chi = constant(mon, 1)
+        both = intersect(generalized_h_product(ps, mu, chi), generalized_h_product(ps, chi, mu))
+        for x in range(n):
+            if both.values[x] > mu.values[x]:
                 return _fail(
-                    "additive",
-                    {"x": lab[x], "y": lab[y], "x+y": lab[row[y]]},
+                    "quasi-intersection",
+                    {"x": lab[x], "lhs": str(both.values[x]), "mu": str(mu.values[x])},
                 )
-    if sidedness is None:
-        return None
-    pp = ps.pair_products
-    for x in range(mon.n):
-        for y in range(mon.n):
-            for p in pp[x][y]:
-                if sidedness in (TWO_SIDED, LEFT) and vals[p] < vals[y]:
-                    return _fail("left-product", {"x": lab[x], "y": lab[y], "xy": lab[p]})
-                if sidedness in (TWO_SIDED, RIGHT) and vals[p] < vals[x]:
-                    return _fail("right-product", {"x": lab[x], "y": lab[y], "xy": lab[p]})
-    return None
-
-
-def _fuzzy_h_condition(ps: ProductStructure, mu: FuzzySubset) -> CheckResult | None:
-    # Cut formulation: for each positive threshold t, no x below t may be
-    # h-reachable from a pair inside the cut at t.
-    mon = ps.carrier
-    add = mon.add
+    # Cut formulation: no x below a positive rank r may be h-reachable from a
+    # pair inside the cut at r; the cut at rank 0 is the whole carrier.
     same = same_sum_rows(mon)
-    vals = mu.values
-    cuts = (cut_mask(mu, t) for t in set(vals) if t > 0)
-    if any(h_hull(add, same, cut, cut) for cut in cuts):
-        witness = _h_witness(mon, lambda x, a, b: vals[x] < min(vals[a], vals[b]))
-        return _fail("h-condition", witness)
-    return None
+    for r in range(1, len(rank)):
+        cut = sum(1 << x for x in range(n) if vals[x] >= r)
+        if h_hull(add, same, cut, cut):
+            witness = _h_witness(mon, lambda x, a, b: vals[x] < min(vals[a], vals[b]))
+            return _fail("h-condition", witness)
+    return _ok()
 
 
 def is_fuzzy_h_ideal(
@@ -348,62 +371,20 @@ def is_fuzzy_h_ideal(
     sidedness: str = TWO_SIDED,
     require_top: bool = False,
 ) -> CheckResult:
-    # The first failing condition, else a pass.
+    """Additivity, the sided products and the h-condition (_fuzzy_check)."""
     if sidedness not in SIDEDNESS:
         raise ValueError(f"sidedness must be one of {SIDEDNESS}")
-    return _fuzzy_head_checks(ps, mu, sidedness, require_top) or _fuzzy_h_condition(ps, mu) or _ok()
+    return _fuzzy_check(ps, mu, sidedness, require_top)
 
 
 def is_fuzzy_h_bi_ideal(ps: ProductStructure, mu: FuzzySubset) -> CheckResult:
-    """Additivity, product, two-step product, and h conditions."""
-    head = _fuzzy_head_checks(ps, mu)
-    if head is not None:
-        return head
-    mon = ps.carrier
-    lab = mon.elements
-    vals = mu.values
-    pp = ps.pair_products
-    for x in range(mon.n):
-        for y in range(mon.n):
-            m = min(vals[x], vals[y])
-            for p in pp[x][y]:
-                if vals[p] < m:
-                    return _fail("product", {"x": lab[x], "y": lab[y], "xy": lab[p]})
-    for x in range(mon.n):
-        vx = vals[x]
-        for y in range(mon.n):
-            for p in pp[x][y]:
-                for z in range(mon.n):
-                    m = min(vx, vals[z])
-                    for q in pp[p][z]:
-                        if vals[q] < m:
-                            return _fail(
-                                "sandwich",
-                                {"x": lab[x], "y": lab[y], "z": lab[z], "xyz": lab[q]},
-                            )
-    return _fuzzy_h_condition(ps, mu) or _ok()
+    """Additivity, product, two-step product, and h conditions (_fuzzy_check)."""
+    return _fuzzy_check(ps, mu, BI)
 
 
 def is_fuzzy_h_quasi_ideal(ps: ProductStructure, mu: FuzzySubset) -> CheckResult:
-    """Additivity, (mu oh chi) meet (chi oh mu) below mu, and the h-condition."""
-    head = _fuzzy_head_checks(ps, mu)
-    if head is not None:
-        return head
-    mon = ps.carrier
-    lab = mon.elements
-    vals = mu.values
-    chi = constant(mon, 1)
-    both = intersect(
-        generalized_h_product(ps, mu, chi),
-        generalized_h_product(ps, chi, mu),
-    )
-    for x in range(mon.n):
-        if both.values[x] > vals[x]:
-            return _fail(
-                "quasi-intersection",
-                {"x": lab[x], "lhs": str(both.values[x]), "mu": str(vals[x])},
-            )
-    return _fuzzy_h_condition(ps, mu) or _ok()
+    """Additivity, (mu oh chi) meet (chi oh mu) below mu, and the h-condition (_fuzzy_check)."""
+    return _fuzzy_check(ps, mu, QUASI)
 
 
 def _require_kind(kind: str) -> None:
@@ -413,11 +394,11 @@ def _require_kind(kind: str) -> None:
 
 @dataclass(frozen=True)
 class FuzzyHIdealFamily:
-    """All fuzzy sided h-ideals with values in a fixed grid and top at zero."""
+    """All grid-valued members of a kind; for a sidedness, with top at zero."""
 
     carrier: FiniteMonoid
     grid: tuple[Fraction, ...]
-    sidedness: str
+    kind: str
     members: tuple[FuzzySubset, ...]
 
 
@@ -472,26 +453,13 @@ def _cut_family(
 def enumerate_fuzzy_h_ideals(
     ps: ProductStructure,
     grid: Sequence,
-    sidedness: str = TWO_SIDED,
+    kind: str = TWO_SIDED,
     cap: int | None = None,
 ) -> FuzzyHIdealFamily:
-    """Complete family of grid-valued fuzzy sided h-ideals with top at zero (_cut_family)."""
+    """Complete family of grid-valued members of a kind (_cut_family): fuzzy
+    sided h-ideals with top at zero, or nonempty fuzzy h-bi- or h-quasi-ideals."""
     grid = _check_grid(grid)
-    return FuzzyHIdealFamily(ps.carrier, grid, sidedness, _cut_family(ps, grid, sidedness, cap))
-
-
-def enumerate_fuzzy_h_bi_ideals(
-    ps: ProductStructure, grid: Sequence, cap: int | None = None
-) -> tuple[FuzzySubset, ...]:
-    """All nonempty grid-valued fuzzy h-bi-ideals (_cut_family)."""
-    return _cut_family(ps, _check_grid(grid), BI, cap)
-
-
-def enumerate_fuzzy_h_quasi_ideals(
-    ps: ProductStructure, grid: Sequence, cap: int | None = None
-) -> tuple[FuzzySubset, ...]:
-    """All nonempty grid-valued fuzzy h-quasi-ideals (_cut_family)."""
-    return _cut_family(ps, _check_grid(grid), QUASI, cap)
+    return FuzzyHIdealFamily(ps.carrier, grid, kind, _cut_family(ps, grid, kind, cap))
 
 
 RELATIVE = "relative-to-family"
@@ -505,7 +473,7 @@ def _prime_like(
 ) -> CheckResult:
     if family.carrier != ps.carrier or zeta.carrier != ps.carrier:
         raise ValueError("family and candidate must live on the same carrier")
-    base = is_fuzzy_h_ideal(ps, zeta, family.sidedness, require_top=True)
+    base = is_fuzzy_h_ideal(ps, zeta, family.kind, require_top=True)
     if not base.holds:
         return CheckResult(False, condition=f"h-ideal:{base.condition}", witness=base.witness)
     if zeta.is_constant():

@@ -203,6 +203,86 @@ def naive_is_fuzzy_h_ideal(
     return True
 
 
+def element_loop_fuzzy_check(
+    ps: ProductStructure, mu: FuzzySubset, kind: str, require_top: bool = False
+):
+    """The first failing condition of a kind and its witness, by element loops
+    comparing Fraction values: nonempty, top at zero when asked, additive,
+    the kind's own conditions (left- then right-product at each (x, y, p)
+    for a sidedness; product, then sandwich, for "bi"; the
+    quasi-intersection for "quasi", read from the library's h-products as
+    the checker reads them), then the h-condition at the first violating
+    (x, a, b, z).  The witness reference for the fuzzy checkers.
+    """
+    from gammah.fuzzy import constant, generalized_h_product, intersect
+    from gammah.ideals import CheckResult
+
+    mon = ps.carrier
+    lab = mon.elements
+    n = mon.n
+    add = mon.add
+    pp = ps.pair_products
+    vals = mu.values
+
+    def fail(condition, witness=None):
+        return CheckResult(False, condition=condition, witness=witness or {})
+
+    if all(v == 0 for v in vals):
+        return fail("nonempty")
+    if require_top and vals[mon.zero] != 1:
+        return fail("top-at-zero", {"zero": lab[mon.zero], "value": str(vals[mon.zero])})
+    for x in range(n):
+        for y in range(n):
+            if vals[add[x][y]] < min(vals[x], vals[y]):
+                return fail("additive", {"x": lab[x], "y": lab[y], "x+y": lab[add[x][y]]})
+    if kind in ("two-sided", "left", "right"):
+        for x in range(n):
+            for y in range(n):
+                for p in pp[x][y]:
+                    if kind != "right" and vals[p] < vals[y]:
+                        return fail("left-product", {"x": lab[x], "y": lab[y], "xy": lab[p]})
+                    if kind != "left" and vals[p] < vals[x]:
+                        return fail("right-product", {"x": lab[x], "y": lab[y], "xy": lab[p]})
+    elif kind == "bi":
+        for x in range(n):
+            for y in range(n):
+                for p in pp[x][y]:
+                    if vals[p] < min(vals[x], vals[y]):
+                        return fail("product", {"x": lab[x], "y": lab[y], "xy": lab[p]})
+        for x in range(n):
+            for y in range(n):
+                for p in pp[x][y]:
+                    for z in range(n):
+                        for q in pp[p][z]:
+                            if vals[q] < min(vals[x], vals[z]):
+                                return fail(
+                                    "sandwich",
+                                    {"x": lab[x], "y": lab[y], "z": lab[z], "xyz": lab[q]},
+                                )
+    elif kind == "quasi":
+        chi = constant(mon, 1)
+        both = intersect(generalized_h_product(ps, mu, chi), generalized_h_product(ps, chi, mu))
+        for x in range(n):
+            if both.values[x] > vals[x]:
+                return fail(
+                    "quasi-intersection",
+                    {"x": lab[x], "lhs": str(both.values[x]), "mu": str(vals[x])},
+                )
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    for x in range(n):
+        for a in range(n):
+            for b in range(n):
+                if vals[x] < min(vals[a], vals[b]):
+                    for z in range(n):
+                        if add[add[x][a]][z] == add[b][z]:
+                            return fail(
+                                "h-condition",
+                                {"x": lab[x], "a": lab[a], "b": lab[b], "z": lab[z]},
+                            )
+    return CheckResult(True)
+
+
 def brute_fuzzy_family(
     ps: ProductStructure, grid, sidedness: str = "two-sided"
 ) -> list[tuple[Fraction, ...]]:
@@ -556,7 +636,7 @@ def pair_scan_prime_like(ps: ProductStructure, zeta: FuzzySubset, family, semipr
     from gammah.fuzzy import is_subset, simple_h_product
     from gammah.ideals import RELATIVE, CheckResult, is_fuzzy_h_ideal
 
-    base = is_fuzzy_h_ideal(ps, zeta, family.sidedness, require_top=True)
+    base = is_fuzzy_h_ideal(ps, zeta, family.kind, require_top=True)
     if not base.holds:
         return CheckResult(False, condition=f"h-ideal:{base.condition}", witness=base.witness)
     if zeta.is_constant():

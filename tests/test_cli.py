@@ -364,6 +364,43 @@ class TestExitCodeContract:
         code, out, err = capout("check", spath("z2"), mu, "--kind", "prime", "--grid", grid)
         assert (code, out, err) == (1, "fails: h-ideal:top-at-zero zero=0, value=1/2\n", "")
 
+    @pytest.mark.parametrize(
+        "argv", [("verify",), ("check", "prime"), ("check", "semiprime")], ids="-".join
+    )
+    def test_bad_grid_rejected_before_context(self, capout, tmp_path, monkeypatch, argv):
+        # The grid is read before the operator closures are built, so a
+        # closure cap of 1 does not hide the input error behind exit 3.
+        monkeypatch.setenv("GAMMAH_OPERATOR_CAP", "1")
+        command, *kind = argv
+        files = [spath("z2")]
+        if kind:
+            files.append(write_fuzzy(tmp_path, {"over": "S", "values": {"0": "1"}}))
+            kind = ["--kind", kind[0]]
+        code, out, err = capout(command, *files, *kind, "--grid", "1,0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad grid") and err.count("\n") == 1
+
+    def test_failing_candidate_enumerates_no_family(self, capout, tmp_path, monkeypatch):
+        import gammah.cli
+
+        calls = []
+        enumerate_family = gammah.cli.enumerate_fuzzy_h_ideals
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_family(*args, **kwargs)
+
+        monkeypatch.setattr(gammah.cli, "enumerate_fuzzy_h_ideals", counted)
+        mu = write_fuzzy(tmp_path, {"over": "S", "values": {"0": "1/2"}})
+        for kind in ("prime", "semiprime"):
+            code, out, err = capout("check", spath("z2"), mu, "--kind", kind)
+            assert (code, out, err) == (1, "fails: h-ideal:top-at-zero zero=0, value=1/2\n", "")
+        assert calls == []
+        mu = write_fuzzy(tmp_path, {"over": "S", "values": {"0": "1"}})
+        code, out, _ = capout("check", spath("z2"), mu, "--kind", "prime")
+        assert (code, out) == (0, "holds (relative-to-family)\n")
+        assert len(calls) == 1
+
     def test_huge_grid_exponent(self, capout):
         code, _, err = capout("verify", spath("b"), "--grid", "0,1e-999999999,1")
         assert code == 2

@@ -201,8 +201,8 @@ class TestFamilies:
         fams = _Families(ctx, grid)
         ps = ctx.ps("L")
         for members, check in (
-            (fams.bi("L"), is_fuzzy_h_bi_ideal),
-            (fams.quasi("L"), is_fuzzy_h_quasi_ideal),
+            (fams.fuzzy("L", "bi").members, is_fuzzy_h_bi_ideal),
+            (fams.fuzzy("L", "quasi").members, is_fuzzy_h_quasi_ideal),
         ):
             assert [set(m.values) for m in members] == [{Fraction(1, 2)}, {Fraction(1)}]
             assert all(check(ps, m).holds for m in members)

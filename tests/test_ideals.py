@@ -32,9 +32,7 @@ from gammah.ideals import (
     CheckResult,
     _closure_mask,
     crisp,
-    enumerate_fuzzy_h_bi_ideals,
     enumerate_fuzzy_h_ideals,
-    enumerate_fuzzy_h_quasi_ideals,
     enumerate_h_ideals,
     h_closure,
     is_fuzzy_h_bi_ideal,
@@ -49,6 +47,7 @@ from oracles import (
     brute_h_ideals,
     closure_subsets_h_ideals,
     direct_filter,
+    element_loop_fuzzy_check,
     pair_scan_prime_like,
     product_cut_quasi_closure,
 )
@@ -451,12 +450,7 @@ class TestFamilies:
         for grid in GRIDS:
             if len(grid) ** ps.carrier.n > DIRECT_LIMIT:
                 continue
-            if sided:
-                got = enumerate_fuzzy_h_ideals(ps, grid, kind).members
-            elif kind == BI:
-                got = enumerate_fuzzy_h_bi_ideals(ps, grid)
-            else:
-                got = enumerate_fuzzy_h_quasi_ideals(ps, grid)
+            got = enumerate_fuzzy_h_ideals(ps, grid, kind).members
             want = direct_filter(ps, grid, fuzzy_check(kind), require_top=sided)
             assert [m.values for m in got] == want, grid
             compared += 1
@@ -488,13 +482,13 @@ class TestFamilies:
 
     def test_bi_quasi_enumerations_capped(self, ps_z2):
         with pytest.raises(CapacityError):
-            enumerate_fuzzy_h_bi_ideals(ps_z2, GRID, cap=1)
+            enumerate_fuzzy_h_ideals(ps_z2, GRID, BI, cap=1)
         with pytest.raises(CapacityError):
-            enumerate_fuzzy_h_quasi_ideals(ps_z2, GRID, cap=1)
+            enumerate_fuzzy_h_ideals(ps_z2, GRID, QUASI, cap=1)
 
     def test_bi_enumeration_contains_family(self, ps_z4):
         fam = {m.values for m in enumerate_fuzzy_h_ideals(ps_z4, GRID).members}
-        bi = {m.values for m in enumerate_fuzzy_h_bi_ideals(ps_z4, GRID)}
+        bi = {m.values for m in enumerate_fuzzy_h_ideals(ps_z4, GRID, BI).members}
         assert fam <= bi
 
 
@@ -609,3 +603,63 @@ class TestLevelCuts:
         cuts = {cut_mask(mu, t) for t in mu.values if t > 0}
         closed = bool(cuts) and all(_closure_mask(ps, c, kind) == c for c in cuts)
         assert fuzzy_check(kind)(ps, mu).holds == closed
+
+
+WITNESS_CARRIERS = sorted(k for k, ps in CARRIERS.items() if ps.carrier.n <= 16)
+# The eight checker variants: each sidedness with and without top at zero,
+# then bi and quasi.
+VARIANTS = [(side, top) for side in KINDS[:3] for top in (False, True)] + [(BI, False), (QUASI, False)]
+
+
+@st.composite
+def checker_inputs(draw):
+    """A carrier and a fuzzy subset on it: random values k/12, or a chain of
+    h_closures of a kind with descending values k/12 (often from 1 down);
+    then perhaps moved off the twelfths by v -> v/2 or v -> (1+v)/2, at
+    every point or at one."""
+    carrier = draw(st.sampled_from(WITNESS_CARRIERS))
+    ps = CARRIERS[carrier]
+    n = ps.carrier.n
+    twelfths = st.integers(0, 12).map(lambda k: Fraction(k, 12))
+    if draw(st.booleans()):
+        values = draw(st.lists(twelfths, min_size=n, max_size=n))
+    else:
+        kind = draw(st.sampled_from(KINDS))
+        levels = set(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)))
+        if draw(st.booleans()):
+            levels.add(12)  # top at zero for a sidedness
+        values = [Fraction(0)] * n
+        members: set[int] = set()
+        for k in sorted(levels, reverse=True):
+            members.add(draw(st.integers(0, n - 1)))
+            members = set(h_closure(ps, members, kind).indices())
+            for x in members:
+                if values[x] == 0:
+                    values[x] = Fraction(k, 12)
+    move = draw(st.sampled_from([None, lambda v: v / 2, lambda v: (1 + v) / 2]))
+    if move is not None:
+        if draw(st.booleans()):
+            values = [move(v) for v in values]
+        else:
+            x = draw(st.integers(0, n - 1))
+            values[x] = move(values[x])
+    return carrier, make_fuzzy(ps.carrier, values)
+
+
+class TestCheckerWitnesses:
+    """One checker body decides all five kinds on ranks of mu's values."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=checker_inputs())
+    def test_first_failure_matches_element_loops(self, case):
+        carrier, mu = case
+        ps = CARRIERS[carrier]
+        for kind, top in VARIANTS:
+            if kind in (BI, QUASI):
+                got = fuzzy_check(kind)(ps, mu)
+            else:
+                got = is_fuzzy_h_ideal(ps, mu, kind, require_top=top)
+            want = element_loop_fuzzy_check(ps, mu, kind, top)
+            assert (got.holds, got.condition, got.witness) == (
+                want.holds, want.condition, want.witness
+            ), (carrier, kind, top)
