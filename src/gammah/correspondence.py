@@ -94,10 +94,10 @@ def _named(g: GammaHemiring) -> GammaHemiring:
     return GammaHemiring(g.name, s, gam, g.action)
 
 
-def build_context(g: GammaHemiring, cap: int | None = None) -> CorrespondenceContext:
+def build_context(g: GammaHemiring) -> CorrespondenceContext:
     g = _named(g)
-    left = build_operator(g, LEFT, cap)
-    right = build_operator(g, RIGHT, cap)
+    left = build_operator(g, LEFT)
+    right = build_operator(g, RIGHT)
     s_ps = as_product_structure(g)
     l_ps = hemiring_as_product_structure(left)
     r_ps = hemiring_as_product_structure(right)

@@ -412,9 +412,16 @@ def _check_grid(grid: Sequence) -> tuple[Fraction, ...]:
 
 
 def _cut_family(
-    ps: ProductStructure, grid: tuple[Fraction, ...], kind: str, cap: int | None
+    mon: FiniteMonoid,
+    grid: tuple[Fraction, ...],
+    kind: str,
+    lattice: Sequence[int],
+    cap: int | None,
 ) -> tuple[FuzzySubset, ...]:
     """Every member of a kind valued in a checked grid, sorted by values.
+
+    lattice holds the masks of the kind's closed sets on mon, as the
+    caller's enumerate_h_ideals listed them.
 
     By the level-subset theorem (module docstring) mu is a member exactly
     when its cuts at the positive grid values t_1 < ... < t_k form a chain
@@ -425,15 +432,18 @@ def _cut_family(
     every cut here is a fixpoint of _closure_mask, a closed set of the kind,
     and the theorem then makes each chain a member.
 
+    The family is closed under intersection (pointwise min): the cuts of
+    a & b are a_t & b_t, closed since the closed sets form a Moore family
+    (_closure_mask) for any same-sum relation, falling as t rises, and
+    nonempty wherever both are, for nonempty closed sets hold zero.
+
     The chains grow one level at a time, each held as its last cut and the
     values it sets so far.  A chain can always repeat its last cut, so the
     count never falls from one level to the next, and a level past the cap
     ends the walk with at most limit + 1 chains held.
     """
-    mon = ps.carrier
     limit = _cap(CANDIDATE_CAP_ENV, DEFAULT_CANDIDATE_CAP, cap)
-    lattice = [c.mask for c in enumerate_h_ideals(ps, kind)]
-    upper = lattice if kind in SIDEDNESS else lattice + [0]
+    upper = lattice if kind in SIDEDNESS else [*lattice, 0]
     chains = [((1 << mon.n) - 1, (ZERO,) * mon.n)]
     pool = lattice
     for t in (t for t in grid if t > 0):
@@ -459,7 +469,8 @@ def enumerate_fuzzy_h_ideals(
     """Complete family of grid-valued members of a kind (_cut_family): fuzzy
     sided h-ideals with top at zero, or nonempty fuzzy h-bi- or h-quasi-ideals."""
     grid = _check_grid(grid)
-    return FuzzyHIdealFamily(ps.carrier, grid, kind, _cut_family(ps, grid, kind, cap))
+    mon, lattice = ps.carrier, [c.mask for c in enumerate_h_ideals(ps, kind)]
+    return FuzzyHIdealFamily(mon, grid, kind, _cut_family(mon, grid, kind, lattice, cap))
 
 
 RELATIVE = "relative-to-family"

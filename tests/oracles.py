@@ -652,3 +652,51 @@ def pair_scan_prime_like(ps: ProductStructure, zeta: FuzzySubset, family, semipr
             condition = "semiprime-implication" if semiprime else "prime-implication"
             return CheckResult(False, condition=condition, witness=witness)
     return CheckResult(True, qualifier=RELATIVE)
+
+
+def intersection_commutes_scan(ctx, fams):
+    """L3.3 over every pair, then every triple, of members of L's family: the
+    meet of the plus images against plus of the meet.  Returns the first
+    failing group as a witness, or None.  Pairs alone decide it, by the meet
+    lemma; this scans what that lemma lets the check skip.
+    """
+    from gammah import correspondence
+    from gammah.fuzzy import intersect
+    from gammah.harness import _diff_witness
+
+    members = fams.fuzzy("L").members
+    for group in itertools.chain(
+        itertools.combinations_with_replacement(members, 2),
+        itertools.combinations_with_replacement(members, 3),
+    ):
+        lhs = correspondence.plus(ctx, group[0])
+        meet = group[0]
+        for m in group[1:]:
+            lhs = intersect(lhs, correspondence.plus(ctx, m))
+            meet = intersect(meet, m)
+        witness = {"members": [[str(v) for v in m.values] for m in group]}
+        w = _diff_witness(witness, lhs, correspondence.plus(ctx, meet))
+        if w:
+            return w
+    return None
+
+
+def complete_lattices_scan(ctx, fams):
+    """C3.10 over every pair of each sided family of L and R: the
+    intersection, then the sum, must be a member.  Returns the first result
+    outside the family as a witness, or None.
+    """
+    from gammah.fuzzy import fuzzy_sum, intersect
+
+    def vals(m):
+        return [str(v) for v in m.values]
+
+    for which, sid in (("L", "left"), ("L", "right"), ("R", "left"), ("R", "right")):
+        members = fams.fuzzy(which, sid).members
+        index = {m.values for m in members}
+        for a, b in itertools.combinations_with_replacement(members, 2):
+            for op, result in (("intersection", intersect(a, b)), ("sum", fuzzy_sum(a, b))):
+                if result.values not in index:
+                    return {"carrier": which, "sidedness": sid, "op": op,
+                            "a": vals(a), "b": vals(b), "result": vals(result)}
+    return None

@@ -1,4 +1,6 @@
+import collections
 import functools
+import itertools
 import json
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ import gammah.ideals
 import gammah.operators
 from gammah import corpus
 from gammah.correspondence import build_context
-from gammah.fuzzy import FuzzySubset, cartesian, same_sum_rows, simple_h_product
+from gammah.fuzzy import FuzzySubset, cartesian, intersect, same_sum_rows, simple_h_product
 from gammah.harness import (
     CATALOG,
     H_IDEAL,
@@ -27,13 +29,20 @@ from gammah.harness import (
     run_suite,
 )
 from gammah.ideals import (
+    SIDEDNESS,
+    TWO_SIDED,
     CrispSubset,
     h_closure,
     is_fuzzy_h_bi_ideal,
     is_fuzzy_h_ideal,
     is_fuzzy_h_quasi_ideal,
 )
-from oracles import cartesian_inclusion_loop, short_sums_mul_law
+from oracles import (
+    cartesian_inclusion_loop,
+    complete_lattices_scan,
+    intersection_commutes_scan,
+    short_sums_mul_law,
+)
 from test_acceptance import corrupted_same_sum_rows
 from test_ideals import nil_cube
 
@@ -192,6 +201,22 @@ class TestRunSuite:
         doc = report.to_json_dict(with_timings=True)
         assert all(row["ms"] >= 0 for row in doc["results"])
 
+    @pytest.mark.parametrize("structure", [corpus.z2xz2, corpus.boolean_matrix_2x1])
+    def test_one_lattice_per_carrier_and_kind(self, monkeypatch, structure):
+        # The crisp lattice _Families holds is the fuzzy families' only
+        # source, so no (carrier, kind) is enumerated twice in a run.
+        honest = gammah.ideals.enumerate_h_ideals
+        calls = collections.Counter()
+
+        def counted(ps, sidedness=TWO_SIDED, cap=None):
+            calls[id(ps), sidedness] += 1
+            return honest(ps, sidedness, cap)
+
+        monkeypatch.setattr(gammah.harness, "enumerate_h_ideals", counted)
+        monkeypatch.setattr(gammah.ideals, "enumerate_h_ideals", counted)
+        run_suite(build_context(structure()), GRID)
+        assert calls and set(calls.values()) == {1}, calls
+
 
 class TestFamilies:
     def test_bi_quasi_families_complete_on_mat_b_left(self, mat_b):
@@ -297,12 +322,18 @@ class TestMulLawReference:
 GRIDS = (GRID, ("0", "1/3", "2/3", "1"))
 
 
+FULL_SCANS = {
+    "L3.3": intersection_commutes_scan,
+    "C3.10": complete_lattices_scan,
+    "S4-coprod": lambda ctx, fams: _coproduct_scan(ctx, fams.fuzzy("S").members),
+    "S4-hideal": lambda ctx, fams: _pair_image_scan(ctx, fams, RL, H_IDEAL),
+}
+
+
 def _full_scan(ctx, fams, check_id):
-    """Status and witness of S4-coprod or S4-hideal scanned over every member."""
-    if check_id == "S4-coprod":
-        w = _coproduct_scan(ctx, fams.fuzzy("S").members)
-    else:
-        w = _pair_image_scan(ctx, fams, RL, H_IDEAL)
+    """Status and witness of a check scanned over every member (and, for
+    L3.3, every triple of members)."""
+    w = FULL_SCANS[check_id](ctx, fams)
     return ("pass", None) if w is None else ("fail", w)
 
 
@@ -342,6 +373,24 @@ class TestLatticeRoute:
         monkeypatch.setattr(gammah.harness, "simple_h_product", counted)
         assert run_check("S4-coprod", ctx, GRID, fams).status == "pass"
         assert calls.count(ctx.s_ps) <= 4**2 and calls.count(ctx.sxs_ps) <= 4**4
+
+    def test_intersection_route_on_z2xz2(self, monkeypatch):
+        # L3.3 takes three plus calls per pair of the 9 members, and none per
+        # triple.
+        ctx = build_context(corpus.z2xz2())
+        fams = _Families(ctx, tuple(Fraction(v) for v in GRID))
+        n = len(fams.fuzzy("L").members)
+        assert n == 9
+        honest = gammah.correspondence.plus
+        calls = []
+
+        def counted(ctx, mu):
+            calls.append(mu)
+            return honest(ctx, mu)
+
+        monkeypatch.setattr(gammah.correspondence, "plus", counted)
+        assert run_check("L3.3", ctx, GRID, fams).status == "pass"
+        assert len(calls) == 3 * n * (n + 1) // 2
 
     def test_hideal_route_on_z2xz2(self, monkeypatch):
         # The checker runs once per image: 2 directions x 2 sides x 9
@@ -453,9 +502,10 @@ ROUTE_CASES = [
 def test_lattice_route_equals_full_scan(monkeypatch, name, grid, case):
     """Status and witness equal the full scan's, honest and under faults the
     lattice pass cannot see: the skip-z same-sum relation, and transfer maps
-    (which enter S4-hideal only) corrupted in three ways."""
-    checks = ("S4-hideal",) if case in MAP_FAULTS else ("S4-coprod", "S4-hideal")
+    (which enter L3.3 and S4-hideal only) corrupted in three ways."""
+    checks = ["L3.3", "C3.10", "S4-coprod", "S4-hideal"]
     if case in MAP_FAULTS:
+        checks.remove("S4-coprod")
         map_name, fault = MAP_FAULTS[case]
         honest = getattr(gammah.correspondence, map_name)
         monkeypatch.setattr(
@@ -548,3 +598,23 @@ def test_cartesian_product_lemma(name, carrier, relation, data):
         factors = [is_fuzzy_h_ideal(ps, m, require_top=True).holds for m in (a, b)]
         pair = is_fuzzy_h_ideal(pair_ps, cartesian(a, b), require_top=True).holds
     assert pair == all(factors)
+
+
+@pytest.mark.parametrize("relation", ["honest", "skip-z"])
+@pytest.mark.parametrize("carrier", ["S", "L", "R"])
+@pytest.mark.parametrize("name", sorted(ROUTE_STRUCTURES))
+def test_meet_lemma(monkeypatch, name, carrier, relation):
+    """The intersection of two members of a sided family is a member, at
+    every grid, under the skip-z same-sum relation too: the lemma that lets
+    L3.3 scan pairs only and C3.10 skip its intersection branch."""
+    if relation == "skip-z":
+        monkeypatch.setattr(gammah.fuzzy, "same_sum_rows", corrupted_same_sum_rows)
+        monkeypatch.setattr(gammah.ideals, "same_sum_rows", corrupted_same_sum_rows)
+    ctx = build_context(ROUTE_STRUCTURES[name])
+    for grid in GRIDS:
+        fams = _Families(ctx, tuple(Fraction(v) for v in grid))
+        for kind in SIDEDNESS:
+            members = fams.fuzzy(carrier, kind).members
+            index = {m.values for m in members}
+            for a, b in itertools.combinations_with_replacement(members, 2):
+                assert intersect(a, b).values in index, (grid, kind, a, b)
