@@ -80,11 +80,13 @@ def _indices(row: list, index: dict, where: str) -> tuple[int, ...]:
 
 
 def _monoid_from_doc(doc: dict, what: str, name: str) -> FiniteMonoid:
+    if not isinstance(doc, dict):
+        raise InputError(f"{what}: must be a JSON object")
     try:
         elements = doc["elements"]
         zero_label = doc["zero"]
         add_rows = doc["add"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise InputError(f"{what}: missing field {exc}") from exc
     # Labels are strings: fuzzy files address elements by JSON object keys.
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):

@@ -49,7 +49,6 @@ from .ideals import (
     is_prime_fuzzy_h_ideal,
     is_semiprime_fuzzy_h_ideal,
 )
-from .operators import FormalSum, formal_product, realize
 
 PASS = "pass"
 FAIL = "fail"
@@ -181,7 +180,7 @@ def _map(side: str, direction: str, kind: str = "") -> Callable:
 class _Source:
     """A family of fuzzy subsets and the membership test its transfers must pass.
 
-    The family comes in variants (a sidedness, or prime versus semiprime),
+    The family comes in variants (an ideal kind, or prime versus semiprime),
     which checks loop outermost; `tag(variant)` names the variant in a witness.
     """
 
@@ -192,17 +191,30 @@ class _Source:
     member_key: str = "member"
 
 
-def _h_ideal_source(variants: tuple, tag: Callable) -> _Source:
+def _ideal_check(fams, c, mu, kind):
+    # The checkers are read from this module when a check runs, so a wrapped
+    # name here reaches every check.
+    ps = fams.ctx.ps(c)
+    if kind in SIDEDNESS:
+        return is_fuzzy_h_ideal(ps, mu, kind, require_top=True)
+    return (is_fuzzy_h_bi_ideal if kind == BI_KIND else is_fuzzy_h_quasi_ideal)(ps, mu)
+
+
+def _ideal_source(kinds: tuple) -> _Source:
+    """The fuzzy family of each kind, tested by the kind's checker; a source
+    over several kinds (the sidednesses) names the kind in its witness."""
     return _Source(
-        variants,
-        lambda fams, c, sid: fams.fuzzy(c, sid).members,
-        lambda fams, c, mu, sid: is_fuzzy_h_ideal(fams.ctx.ps(c), mu, sid, require_top=True),
-        tag,
+        kinds,
+        lambda fams, c, kind: fams.fuzzy(c, kind).members,
+        _ideal_check,
+        (lambda kind: {"sidedness": kind}) if len(kinds) > 1 else (lambda kind: {}),
     )
 
 
-H_IDEAL = _h_ideal_source((TWO_SIDED,), lambda sid: {})
-SIDED = _h_ideal_source(SIDEDNESS, lambda sid: {"sidedness": sid})
+H_IDEAL = _ideal_source((TWO_SIDED,))
+SIDED = _ideal_source(SIDEDNESS)
+BI = _ideal_source((BI_KIND,))
+QUASI = _ideal_source((QUASI_KIND,))
 PRIME = _Source(
     (False, True),
     lambda fams, c, semi: fams.primes(c, semi),
@@ -211,16 +223,6 @@ PRIME = _Source(
     )(fams.ctx.ps(c), zeta, fams.fuzzy(c)),
     lambda semi: {"kind": "semiprime" if semi else "prime"},
     "zeta",
-)
-BI = _Source(
-    (None,),
-    lambda fams, c, _: fams.fuzzy(c, BI_KIND).members,
-    lambda fams, c, mu, _: is_fuzzy_h_bi_ideal(fams.ctx.ps(c), mu),
-)
-QUASI = _Source(
-    (None,),
-    lambda fams, c, _: fams.fuzzy(c, QUASI_KIND).members,
-    lambda fams, c, mu, _: is_fuzzy_h_quasi_ideal(fams.ctx.ps(c), mu),
 )
 
 
@@ -270,23 +272,28 @@ def _check_mul_law(ctx, fams):
     classes, and S2-axioms checks that mul distributes over add in L and R
     exhaustively.  The product of two sums is therefore the sum of the
     products of their generators, which is what formal_product realizes.
+
+    Generator products are read from embed.  The formal product of two
+    one-term sums is one term: [x,gamma][y,delta] = [x gamma y, delta] on
+    the left, [gamma,x][delta,y] = [gamma, x delta y] on the right, so its
+    map is a generator's.  build_operator admitted the map of every
+    generator, realized from the action table without _compose, and embed
+    holds its index.  admit keeps one index per map table, so two indices
+    are equal exactly when their maps are: comparing the mul cell with the
+    embed index gives the verdict of comparing the realized maps.
     """
-    g = ctx.G
+    g, act = ctx.G, ctx.G.action
+    gens = [(x, ga) for x in range(g.S.n) for ga in range(g.Gamma.n)]
     for op in (ctx.L, ctx.R):
-        gens = [
-            (FormalSum(op.side, ((x, ga) if op.side == "left" else (ga, x),)), op.embed[x][ga])
-            for x in range(g.S.n)
-            for ga in range(g.Gamma.n)
-        ]
-        for f1, k1 in gens:
-            for f2, k2 in gens:
-                via_table = op.maps[op.mul[k1][k2]].table
-                via_sum = realize(g, formal_product(g, f1, f2)).table
-                if via_table != via_sum:
+        e, left = op.embed, op.side == "left"
+        for x, ga in gens:
+            for y, gb in gens:
+                product = e[act[x][ga][y]][gb] if left else e[act[x][gb][y]][ga]
+                if op.mul[e[x][ga]][e[y][gb]] != product:
                     return {
                         "side": op.side,
-                        "f1": [list(t) for t in f1.terms],
-                        "f2": [list(t) for t in f2.terms],
+                        "f1": [[x, ga] if left else [ga, x]],
+                        "f2": [[y, gb] if left else [gb, y]],
                     }
     return None
 

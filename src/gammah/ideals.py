@@ -22,6 +22,7 @@ cuts over them, each of which the theorem makes a member.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -440,7 +441,8 @@ def _cut_family(
     The chains grow one level at a time, each held as its last cut and the
     values it sets so far.  A chain can always repeat its last cut, so the
     count never falls from one level to the next, and a level past the cap
-    ends the walk with at most limit + 1 chains held.
+    ends the walk with at most limit + 1 chains held; a negative cap ends it
+    at the first level.
     """
     limit = _cap(CANDIDATE_CAP_ENV, DEFAULT_CANDIDATE_CAP, cap)
     upper = lattice if kind in SIDEDNESS else [*lattice, 0]
@@ -453,7 +455,9 @@ def _cut_family(
             for m in pool
             if not m & ~last
         )
-        chains = list(itertools.islice(step, limit + 1))
+        # islice stops at 0..sys.maxsize: a negative cap holds no chain, and
+        # no list reaches a cap past sys.maxsize.
+        chains = list(itertools.islice(step, max(0, min(limit + 1, sys.maxsize))))
         if len(chains) > limit:
             raise CapacityError(f"more than {limit} level-set chains in the family")
         pool = upper

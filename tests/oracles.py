@@ -404,6 +404,34 @@ def short_sums_mul_law(ctx):
     return None
 
 
+def realized_mul_law(ctx):
+    """S2-mul-law by realizing each generator product: for every ordered pair
+    of generators, the map of their mul cell against the map realized from
+    their formal product.  Returns the first failing pair as a witness, or
+    None.  The check reads the same verdict from build_operator's embed.
+    """
+    from gammah.operators import FormalSum, formal_product, realize
+
+    g = ctx.G
+    for op in (ctx.L, ctx.R):
+        gens = [
+            (FormalSum(op.side, ((x, ga) if op.side == "left" else (ga, x),)), op.embed[x][ga])
+            for x in range(g.S.n)
+            for ga in range(g.Gamma.n)
+        ]
+        for f1, k1 in gens:
+            for f2, k2 in gens:
+                via_table = op.maps[op.mul[k1][k2]].table
+                via_sum = realize(g, formal_product(g, f1, f2)).table
+                if via_table != via_sum:
+                    return {
+                        "side": op.side,
+                        "f1": [list(t) for t in f1.terms],
+                        "f2": [list(t) for t in f2.terms],
+                    }
+    return None
+
+
 def element_loop_axioms(g: GammaHemiring, violation_cap: int = 16):
     """Violations of axioms 1-6 in the order of an element-by-element scan,
     cut at violation_cap.  The carrier monoids are assumed valid.

@@ -134,6 +134,23 @@ class TestLargeClosures:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("capacity:")
 
+    @pytest.mark.parametrize("argv", [("verify",), ("check", "prime")], ids="-".join)
+    def test_family_cap_out_of_range(self, capout, tmp_path, monkeypatch, argv):
+        # A cap past sys.maxsize is no limit. A negative cap admits no chain,
+        # as a negative operator or cell cap admits no map or cell.
+        command, *kind = argv
+        files = [spath("z2")]
+        if kind:
+            files.append(write_fuzzy(tmp_path, {"over": "S", "values": {"0": "1"}}))
+            kind = ["--kind", kind[0]]
+        expected = capout(command, *files, *kind)
+        monkeypatch.setenv("GAMMAH_FUZZY_CANDIDATE_CAP", "99999999999999999999999")
+        assert capout(command, *files, *kind) == expected
+        monkeypatch.setenv("GAMMAH_FUZZY_CANDIDATE_CAP", "-5")
+        code, out, err = capout(command, *files, *kind)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("capacity:")
+
     def test_verify_on_mat_z3_hits_capacity(self, capout, tmp_path):
         code, out, err = capout("verify", self.write_matrix(tmp_path, 3))
         assert code == 3
@@ -335,6 +352,16 @@ class TestExitCodeContract:
         code, _, err = capout("validate", str(target))
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, value", [("S", []), ("Gamma", "x")])
+    def test_carrier_not_an_object(self, capout, tmp_path, field, value):
+        doc = json.loads(Path(spath("z2")).read_text())
+        doc[field] = value
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = capout("validate", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: {field}: must be a JSON object\n"
 
     @pytest.mark.parametrize(
         "text",

@@ -14,6 +14,7 @@ import gammah.harness
 import gammah.ideals
 import gammah.operators
 from gammah import corpus
+from gammah.core import matrix_gamma_hemiring
 from gammah.correspondence import build_context
 from gammah.fuzzy import FuzzySubset, cartesian, intersect, same_sum_rows, simple_h_product
 from gammah.harness import (
@@ -41,6 +42,7 @@ from oracles import (
     cartesian_inclusion_loop,
     complete_lattices_scan,
     intersection_commutes_scan,
+    realized_mul_law,
     short_sums_mul_law,
 )
 from test_acceptance import corrupted_same_sum_rows
@@ -317,6 +319,71 @@ class TestMulLawReference:
             assert res.status == status, g.name
             assert (short_sums_mul_law(ctx) is None) == (status == "pass"), g.name
             assert bool(res.witness) == (status == "fail"), g.name
+
+
+MUL_LAW_STRUCTURES = {
+    **{g.name: (lambda g=g: g) for g in corpus.standard_corpus()},
+    "Z5": functools.partial(corpus.zmod, 5),
+    "UT2(Z2)": corpus.upper_triangular,
+    "Zero3": functools.partial(corpus.zero_action, 3),
+    "Mat(B,1x2)": lambda: matrix_gamma_hemiring(corpus.boolean_hemiring(), 1, 2),
+    "Mat(B,2x2)": lambda: matrix_gamma_hemiring(corpus.boolean_hemiring(), 2, 2),
+    "Mat(Z2,1x2)": lambda: matrix_gamma_hemiring(corpus.zmod_hemiring(2), 1, 2),
+}
+
+# The sides whose composition is flipped: honest, left, right and both.
+COMPOSE_FLIPS = ((), ("left",), ("right",), ("left", "right"))
+
+
+def _flipped_compose(sides):
+    original = gammah.operators._compose
+
+    def corrupted(side, m1, m2):
+        if side in sides:
+            side = "right" if side == "left" else "left"
+        return original(side, m1, m2)
+
+    return corrupted
+
+
+class TestMulLawTables:
+    """S2-mul-law reads generator products from build_operator's embed; the
+    reference realizes each product's map.  Status and witness must agree
+    for any composition."""
+
+    def test_equals_realized_reference(self, monkeypatch):
+        failed = []
+        for flip in COMPOSE_FLIPS:
+            monkeypatch.setattr(gammah.operators, "_compose", _flipped_compose(flip))
+            for name, build in MUL_LAW_STRUCTURES.items():
+                ctx = build_context(build())
+                res = run_check("S2-mul-law", ctx, GRID)
+                ref = realized_mul_law(ctx)
+                assert (res.status, res.witness) == (
+                    ("pass", None) if ref is None else ("fail", ref)
+                ), (flip, name)
+                failed += [ref] if ref else []
+            monkeypatch.undo()
+        assert len(failed) == 12
+        assert {w["side"] for w in failed} == {"left", "right"}
+
+    def test_reads_no_realized_map(self, monkeypatch):
+        ctx = build_context(corpus.boolean_matrix_2x1())
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("realize", "formal_product"):
+            wrapped = counted(name, getattr(gammah.operators, name))
+            monkeypatch.setattr(gammah.operators, name, wrapped)
+            monkeypatch.setattr(gammah.harness, name, wrapped, raising=False)
+        assert run_check("S2-mul-law", ctx, GRID).status == "pass"
+        assert calls == []
 
 
 GRIDS = (GRID, ("0", "1/3", "2/3", "1"))
