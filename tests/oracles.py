@@ -16,6 +16,10 @@ from gammah.fuzzy import FuzzySubset
 ZERO = Fraction(0)
 
 
+def _vals(m):
+    return [str(v) for v in m.values]
+
+
 def grid_subsets(carrier, grid):
     """All fuzzy subsets with values drawn from the grid (lexicographic order)."""
     vals = [Fraction(v) for v in grid]
@@ -619,9 +623,6 @@ def cartesian_inclusion_loop(members, image):
     """
     from gammah.fuzzy import cartesian, is_subset
 
-    def vals(m):
-        return [str(v) for v in m.values]
-
     pairs = [(m1, m2, cartesian(m1, m2)) for m1 in members for m2 in members]
     for mu1, s1, c1 in pairs:
         im1 = cartesian(image(mu1), image(s1))
@@ -631,8 +632,8 @@ def cartesian_inclusion_loop(members, image):
                 if not is_subset(im1, im2):
                     return {
                         "reason": "not-inclusion-preserving",
-                        "smaller": [vals(mu1), vals(s1)],
-                        "larger": [vals(mu2), vals(s2)],
+                        "smaller": [_vals(mu1), _vals(s1)],
+                        "larger": [_vals(mu2), _vals(s2)],
                     }
     return None
 
@@ -702,7 +703,7 @@ def intersection_commutes_scan(ctx, fams):
         for m in group[1:]:
             lhs = intersect(lhs, correspondence.plus(ctx, m))
             meet = intersect(meet, m)
-        witness = {"members": [[str(v) for v in m.values] for m in group]}
+        witness = {"members": [_vals(m) for m in group]}
         w = _diff_witness(witness, lhs, correspondence.plus(ctx, meet))
         if w:
             return w
@@ -716,9 +717,6 @@ def complete_lattices_scan(ctx, fams):
     """
     from gammah.fuzzy import fuzzy_sum, intersect
 
-    def vals(m):
-        return [str(v) for v in m.values]
-
     for which, sid in (("L", "left"), ("L", "right"), ("R", "left"), ("R", "right")):
         members = fams.fuzzy(which, sid).members
         index = {m.values for m in members}
@@ -726,5 +724,37 @@ def complete_lattices_scan(ctx, fams):
             for op, result in (("intersection", intersect(a, b)), ("sum", fuzzy_sum(a, b))):
                 if result.values not in index:
                     return {"carrier": which, "sidedness": sid, "op": op,
-                            "a": vals(a), "b": vals(b), "result": vals(result)}
+                            "a": _vals(a), "b": _vals(b), "result": _vals(result)}
+    return None
+
+
+def oplus_law_scan(members):
+    """S2-oplus over every pair, then every triple, of members: fuzzy_sum
+    commutes, then associates.  Returns the first failing group as a
+    witness, or None.  The monoid laws of S decide it for any fuzzy subsets;
+    this scans what that proof lets the check skip.
+    """
+    from gammah.fuzzy import equals, fuzzy_sum
+
+    for a, b in itertools.combinations_with_replacement(members, 2):
+        if not equals(fuzzy_sum(a, b), fuzzy_sum(b, a)):
+            return {"law": "commutative", "a": _vals(a), "b": _vals(b)}
+    for a, b, c in itertools.combinations_with_replacement(members, 3):
+        if not equals(fuzzy_sum(fuzzy_sum(a, b), c), fuzzy_sum(a, fuzzy_sum(b, c))):
+            return {"law": "associative", "a": _vals(a), "b": _vals(b), "c": _vals(c)}
+    return None
+
+
+def gamma_subset_scan(ps: ProductStructure, members):
+    """S2-gamma-subset over every ordered pair of members: the simple
+    h-product lies inside the generalized one.  Returns the first failing
+    pair as a witness, or None.  Pool monotonicity decides it for any fuzzy
+    subsets; this scans what that proof lets the check skip.
+    """
+    from gammah.fuzzy import generalized_h_product, is_subset, simple_h_product
+
+    for a in members:
+        for b in members:
+            if not is_subset(simple_h_product(ps, a, b), generalized_h_product(ps, a, b)):
+                return {"mu": _vals(a), "nu": _vals(b)}
     return None

@@ -286,7 +286,7 @@ class TestVerify:
         assert doc["overall"] == "pass"
         assert all(r["ms"] == 0 for r in doc["results"])
 
-    def test_section_flag(self, capout):
+    def test_section_flag(self, capout, monkeypatch):
         code, out, _ = capout("verify", spath("z2"), "--suite", "section2")
         assert code == 0
         doc = json.loads(out)
@@ -297,6 +297,9 @@ class TestVerify:
             "S2-oplus",
             "S2-gamma-subset",
         ]
+        # Section 2 enumerates no family, so a family cap cannot end it.
+        monkeypatch.setenv("GAMMAH_FUZZY_CANDIDATE_CAP", "1")
+        assert capout("verify", spath("z2"), "--suite", "section2") == (0, out, "")
 
     def test_byte_stable_output(self, capout):
         _, first, _ = capout("verify", spath("z2"), "--suite", "section3")

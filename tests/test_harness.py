@@ -41,7 +41,9 @@ from gammah.ideals import (
 from oracles import (
     cartesian_inclusion_loop,
     complete_lattices_scan,
+    gamma_subset_scan,
     intersection_commutes_scan,
+    oplus_law_scan,
     realized_mul_law,
     short_sums_mul_law,
 )
@@ -387,6 +389,71 @@ class TestMulLawTables:
 
 
 GRIDS = (GRID, ("0", "1/3", "2/3", "1"))
+
+
+class TestSection2Proofs:
+    """S2-oplus and S2-gamma-subset are decided by the proofs in their
+    docstrings; the scans they replace stay as oracles."""
+
+    @pytest.mark.parametrize("grid", [("0", "1"), *GRIDS], ids=",".join)
+    def test_verdicts_equal_scans(self, all_corpus, grid):
+        for g in all_corpus:
+            ctx = build_context(g)
+            fams = _Families(ctx, tuple(Fraction(v) for v in grid))
+            members = fams.fuzzy("S").members
+            for check_id, w in (
+                ("S2-oplus", oplus_law_scan(members)),
+                ("S2-gamma-subset", gamma_subset_scan(ctx.s_ps, members)),
+            ):
+                res = run_check(check_id, ctx, grid, fams)
+                expected = ("pass", None) if w is None else ("fail", w)
+                assert (res.status, res.witness) == expected, (g.name, check_id)
+
+    def test_section2_builds_no_family(self, all_corpus, monkeypatch):
+        calls = []
+        for module in (gammah.harness, gammah.ideals):
+            for name in ("enumerate_h_ideals", "_cut_family"):
+                honest = getattr(module, name)
+
+                def counted(*args, honest=honest, **kwargs):
+                    calls.append(honest.__name__)
+                    return honest(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        for g in all_corpus:
+            assert run_suite(build_context(g), GRID, "section2").overall == "pass", g.name
+        assert calls == []
+
+
+# Values on the grid k/4 and off it.
+ANY_VALUE = st.sampled_from([Fraction(k, 4) for k in range(5)] + [Fraction(1, 3), Fraction(5, 7)])
+
+
+@functools.cache
+def _section2_context(name):
+    return build_context(MUL_LAW_STRUCTURES[name]())
+
+
+@pytest.mark.parametrize("relation", ["honest", "skip-z"])
+@pytest.mark.parametrize("carrier", ["S", "L", "R"])
+@pytest.mark.parametrize("name", sorted(MUL_LAW_STRUCTURES))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_section2_laws_for_any_subsets(name, carrier, relation, data):
+    """(+) commutes and associates, and the simple h-product lies inside the
+    generalized one, for any three fuzzy subsets, members or not, under the
+    skip-z same-sum relation too (patched as in
+    test_lattice_route_equals_full_scan)."""
+    ps = _section2_context(name).ps(carrier)
+    n = ps.carrier.n
+    values = st.lists(ANY_VALUE, min_size=n, max_size=n)
+    subsets = [FuzzySubset(ps.carrier, tuple(data.draw(values))) for _ in range(3)]
+    with pytest.MonkeyPatch.context() as mp:
+        if relation == "skip-z":
+            mp.setattr(gammah.fuzzy, "same_sum_rows", corrupted_same_sum_rows)
+            mp.setattr(gammah.ideals, "same_sum_rows", corrupted_same_sum_rows)
+        assert oplus_law_scan(subsets) is None
+        assert gamma_subset_scan(ps, subsets) is None
 
 
 FULL_SCANS = {
