@@ -11,6 +11,7 @@ from .core import (
     ValidationReport,
     as_product_structure,
     from_hemiring,
+    hemiring_product_structure,
     matrix_gamma_hemiring,
     product,
     product_monoid,
@@ -55,7 +56,6 @@ from .operators import (
     build_operator,
     embed,
     find_unity,
-    hemiring_as_product_structure,
     realize,
     rho_equivalent,
 )

@@ -244,7 +244,7 @@ def cmd_operators(args) -> int:
         if len(sides) != 1:
             raise InputError("--dump-tables requires --side left or --side right")
         op = ctx.L if sides[0] == LEFT else ctx.R
-        print(json.dumps(structure_to_doc(gamma_from_hemiring(op.hemiring())), indent=2))
+        print(json.dumps(structure_to_doc(gamma_from_hemiring(op)), indent=2))
         return OK
     for side in sides:
         _print_side(ctx, ctx.G, side)
@@ -282,8 +282,7 @@ def cmd_h_ideals(args) -> int:
 
 def cmd_check(args) -> int:
     g = _validated(args.structure)
-    if args.kind in ("prime", "semiprime"):
-        grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid)
     ctx = corr.build_context(g)
     over, mu = load_fuzzy(args.fuzzy, ctx, g.name)
     ps = ctx.ps(over)

@@ -19,6 +19,7 @@ from .core import (
     _memo,
     action_columns,
     as_product_structure,
+    hemiring_product_structure,
     pair_product_structure,
     product_monoid,
 )
@@ -31,7 +32,6 @@ from .operators import (
     Unity,
     build_operator,
     find_unity,
-    hemiring_as_product_structure,
 )
 
 
@@ -99,8 +99,8 @@ def build_context(g: GammaHemiring) -> CorrespondenceContext:
     left = build_operator(g, LEFT)
     right = build_operator(g, RIGHT)
     s_ps = as_product_structure(g)
-    l_ps = hemiring_as_product_structure(left)
-    r_ps = hemiring_as_product_structure(right)
+    l_ps = hemiring_product_structure(left)
+    r_ps = hemiring_product_structure(right)
     return CorrespondenceContext(
         G=g,
         L=left,

@@ -171,20 +171,23 @@ def pair_product_masks(ps: ProductStructure) -> tuple[tuple[int, ...], ...]:
 
 
 def additive_closure_mask(mon: FiniteMonoid, mask: int) -> int:
-    """Closure of the masked set under the carrier addition (sums of >= 1 terms)."""
+    """Closure of the masked set under the carrier addition (sums of >= 1 terms).
+
+    Semi-naive: a round sums only the elements new in the round before with
+    the whole set.  That relies on the carrier's addition commuting, as it
+    does on every FiniteMonoid (a commutative monoid).
+    """
     add = mon.add
-    closed = mask
-    changed = True
-    while changed:
-        changed = False
+    closed = fresh = mask
+    while fresh:
         members = list(_bits(closed))
-        for u in members:
+        sums = 0
+        for u in _bits(fresh):
             row = add[u]
             for v in members:
-                bit = 1 << row[v]
-                if not closed & bit:
-                    closed |= bit
-                    changed = True
+                sums |= 1 << row[v]
+        fresh = sums & ~closed
+        closed |= fresh
     return closed
 
 

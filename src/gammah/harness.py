@@ -241,7 +241,7 @@ def _check_axioms(ctx, fams):
         law, w = rep.violations[0]
         return {"table": "action", "law": law, "witness": list(w)}
     for tag, op in (("L", ctx.L), ("R", ctx.R)):
-        rep = validate_hemiring(op.hemiring())
+        rep = validate_hemiring(op)
         if not rep.valid:
             law, w = rep.violations[0]
             return {"table": tag, "law": law, "witness": list(w)}
@@ -373,46 +373,36 @@ def _membership(ctx, fams, sides, direction, source):
 
 
 def _roundtrip(ctx, fams, fwd, bwd, side):
-    for sigma in fams.fuzzy("S").members:
-        w = _diff_witness({"member": _vals(sigma)}, bwd(ctx, fwd(ctx, sigma)), sigma)
-        if w:
-            return w
-    for mu in fams.fuzzy(side).members:
-        w = _diff_witness({"member": _vals(mu)}, fwd(ctx, bwd(ctx, mu)), mu)
-        if w:
-            return w
+    for src, there, back in (("S", fwd, bwd), (side, bwd, fwd)):
+        for mu in fams.fuzzy(src).members:
+            w = _diff_witness({"member": _vals(mu)}, back(ctx, there(ctx, mu)), mu)
+            if w:
+                return w
     return None
 
 
 def _monotone(ctx, fams, fwd, bwd, side):
-    src_members = fams.fuzzy("S").members
-    for s1 in src_members:
-        for s2 in src_members:
-            if is_subset(s1, s2) and not is_subset(fwd(ctx, s1), fwd(ctx, s2)):
-                return {"direction": "forward", "m1": _vals(s1), "m2": _vals(s2)}
-    dst_members = fams.fuzzy(side).members
-    for m1 in dst_members:
-        for m2 in dst_members:
-            if is_subset(m1, m2) and not is_subset(bwd(ctx, m1), bwd(ctx, m2)):
-                return {"direction": "backward", "m1": _vals(m1), "m2": _vals(m2)}
+    for direction, src, mapper in (("forward", "S", fwd), ("backward", side, bwd)):
+        members = fams.fuzzy(src).members
+        images = [mapper(ctx, m) for m in members]
+        for (m1, a), (m2, b) in itertools.product(zip(members, images), repeat=2):
+            if is_subset(m1, m2) and not is_subset(a, b):
+                return {"direction": direction, "m1": _vals(m1), "m2": _vals(m2)}
     return None
 
 
 def _lattice_ops(ctx, fams, fwd, bwd, side):
     members = fams.fuzzy("S").members
-    for s1, s2 in itertools.combinations_with_replacement(members, 2):
+    pairs = zip(members, [fwd(ctx, m) for m in members])
+    for (s1, a), (s2, b) in itertools.combinations_with_replacement(pairs, 2):
         ctx_w = {"m1": _vals(s1), "m2": _vals(s2)}
         w = _diff_witness(
-            {**ctx_w, "op": "sum"},
-            fwd(ctx, fuzzy_sum(s1, s2)),
-            fuzzy_sum(fwd(ctx, s1), fwd(ctx, s2)),
+            {**ctx_w, "op": "sum"}, fwd(ctx, fuzzy_sum(s1, s2)), fuzzy_sum(a, b)
         )
         if w:
             return w
         w = _diff_witness(
-            {**ctx_w, "op": "intersection"},
-            fwd(ctx, intersect(s1, s2)),
-            intersect(fwd(ctx, s1), fwd(ctx, s2)),
+            {**ctx_w, "op": "intersection"}, fwd(ctx, intersect(s1, s2)), intersect(a, b)
         )
         if w:
             return w
@@ -474,36 +464,38 @@ def _crisp_lattice_bijection(ctx, fams, side):
     s_ideals = fams.crisp("S")
     o_ideals = fams.crisp(side)
     images = [fwd(ctx, i) for i in s_ideals]
-    if sorted(i.mask for i in images) != sorted(i.mask for i in o_ideals):
+    # A mask is recomputed on every read, so each ideal's is read once.
+    masks, image_masks = [i.mask for i in s_ideals], [i.mask for i in images]
+    if sorted(image_masks) != sorted(i.mask for i in o_ideals):
         return {
             "reason": "not-onto-or-not-injective",
             "source-count": len(s_ideals),
-            "image-count": len({i.mask for i in images}),
+            "image-count": len(set(image_masks)),
             "target-count": len(o_ideals),
         }
-    for ideal, image in zip(s_ideals, images):
+    for ideal, image, mask in zip(s_ideals, images, masks):
         back = bwd(ctx, image)
-        if back.mask != ideal.mask:
+        if back.mask != mask:
             return {
                 "reason": "inverse-mismatch",
                 "ideal": list(ideal.labels()),
                 "image": list(image.labels()),
                 "back": list(back.labels()),
             }
-    for i1, im1 in zip(s_ideals, images):
-        for i2, im2 in zip(s_ideals, images):
-            if i1.mask | i2.mask == i2.mask and im1.mask | im2.mask != im2.mask:
-                return {
-                    "reason": "not-inclusion-preserving",
-                    "smaller": list(i1.labels()),
-                    "larger": list(i2.labels()),
-                }
-            if im1.mask | im2.mask == im2.mask and i1.mask | i2.mask != i2.mask:
-                return {
-                    "reason": "inverse-not-inclusion-preserving",
-                    "smaller": list(im1.labels()),
-                    "larger": list(im2.labels()),
-                }
+    rows = zip(s_ideals, images, masks, image_masks)
+    for (i1, im1, m1, n1), (i2, im2, m2, n2) in itertools.product(rows, repeat=2):
+        if m1 | m2 == m2 and n1 | n2 != n2:
+            return {
+                "reason": "not-inclusion-preserving",
+                "smaller": list(i1.labels()),
+                "larger": list(i2.labels()),
+            }
+        if n1 | n2 == n2 and m1 | m2 != m2:
+            return {
+                "reason": "inverse-not-inclusion-preserving",
+                "smaller": list(im1.labels()),
+                "larger": list(im2.labels()),
+            }
     return None
 
 
@@ -511,14 +503,17 @@ def _composition(ctx, fams, sides, product):
     """A forward map of an h-product is the h-product of the forward maps."""
     product_fn = generalized_h_product if product == "generalized" else simple_h_product
     members = fams.fuzzy("S").members
+    # Each S product is built once, by member position, and mapped per side.
+    prods = [[product_fn(ctx.s_ps, mu, nu) for nu in members] for mu in members]
     for side in sides:
-        mapper, ps = _map(side, UP), fams.ctx.ps(side)
-        for mu in members:
-            for nu in members:
-                lhs = mapper(ctx, product_fn(ctx.s_ps, mu, nu))
-                rhs = product_fn(ps, mapper(ctx, mu), mapper(ctx, nu))
+        mapper, ps = _map(side, UP), ctx.ps(side)
+        images = [mapper(ctx, mu) for mu in members]
+        for i, mu in enumerate(members):
+            for j, nu in enumerate(members):
                 w = _diff_witness(
-                    {"operator": side, "mu": _vals(mu), "nu": _vals(nu)}, lhs, rhs
+                    {"operator": side, "mu": _vals(mu), "nu": _vals(nu)},
+                    mapper(ctx, prods[i][j]),
+                    product_fn(ps, images[i], images[j]),
                 )
                 if w:
                     return w
@@ -577,15 +572,15 @@ def _product_commutes(ctx, fams, sides, direction):
     for side in sides:
         members = fams.fuzzy("S" if direction == UP else side).members
         mapper, pmap = _map(side, direction), _map(side, direction, "product_")
-        for mu in members:
-            for sigma in members:
-                lhs = pmap(ctx, cartesian(mu, sigma))
-                rhs = cartesian(mapper(ctx, mu), mapper(ctx, sigma))
-                w = _diff_witness(
-                    {"operator": side, "mu": _vals(mu), "sigma": _vals(sigma)}, lhs, rhs
-                )
-                if w:
-                    return w
+        images = [mapper(ctx, mu) for mu in members]
+        for (mu, a), (sigma, b) in itertools.product(zip(members, images), repeat=2):
+            w = _diff_witness(
+                {"operator": side, "mu": _vals(mu), "sigma": _vals(sigma)},
+                pmap(ctx, cartesian(mu, sigma)),
+                cartesian(a, b),
+            )
+            if w:
+                return w
     return None
 
 
@@ -602,13 +597,12 @@ def _pair_image_scan(ctx, fams, sides, source):
                 target = f"{side}x{side}" if direction == UP else "SxS"
                 named = {"target": target} if direction == UP else {"operator": side}
                 mapper = _map(side, direction)
-                for mu in members:
-                    for sigma in members:
-                        prod = cartesian(mapper(ctx, mu), mapper(ctx, sigma))
-                        res = source.check(fams, target, prod, v)
-                        if not res.holds:
-                            pair = {"mu": _vals(mu), "sigma": _vals(sigma)}
-                            return _failure({**source.tag(v), **named, **pair}, res)
+                images = [mapper(ctx, mu) for mu in members]
+                for (mu, a), (sigma, b) in itertools.product(zip(members, images), repeat=2):
+                    res = source.check(fams, target, cartesian(a, b), v)
+                    if not res.holds:
+                        pair = {"mu": _vals(mu), "sigma": _vals(sigma)}
+                        return _failure({**source.tag(v), **named, **pair}, res)
     return None
 
 

@@ -17,10 +17,8 @@ from .core import (
     FiniteMonoid,
     GammaHemiring,
     Hemiring,
-    ProductStructure,
     StructureError,
     _cap,
-    hemiring_product_structure,
     validate_monoid,
 )
 
@@ -112,53 +110,28 @@ def formal_product(g: GammaHemiring, f1: FormalSum, f2: FormalSum) -> FormalSum:
     return FormalSum(f1.side, tuple(terms))
 
 
-class OperatorHemiring:
+@dataclass(frozen=True, kw_only=True)
+class OperatorHemiring(Hemiring):
     """Finite operator hemiring: distinct action maps closed under + and composition.
 
-    Immutable by convention.  `maps[k]` is addressed externally by the stable
-    label "op<k>" in closure-discovery order; `provenance[k]` is one formal
-    sum realizing it (first found); `embed[x][gamma]` is the index of the
-    generator class [x,gamma] (left) or [gamma,x] (right).
+    A Hemiring whose element k is labelled "op<k>" in closure-discovery order
+    and whose name is L(<structure>) or R(<structure>).  `maps[k]` is the
+    action map of op<k>; `provenance[k]` is one formal sum realizing it
+    (first found); `embed[x][gamma]` is the index of the generator class
+    [x,gamma] (left) or [gamma,x] (right).
     """
 
-    def __init__(
-        self,
-        side: str,
-        structure: str,
-        maps: tuple[ActionMap, ...],
-        add: tuple[tuple[int, ...], ...],
-        mul: tuple[tuple[int, ...], ...],
-        zero: int,
-        provenance: tuple[FormalSum, ...],
-        embed: tuple[tuple[int, ...], ...],
-    ):
-        self.side = side
-        self.structure = structure
-        self.maps = maps
-        self.add = add
-        self.mul = mul
-        self.zero = zero
-        self.provenance = provenance
-        self.embed = embed
-        self._index = {m.table: i for i, m in enumerate(maps)}
+    side: str
+    structure: str
+    maps: tuple[ActionMap, ...]
+    provenance: tuple[FormalSum, ...]
+    embed: tuple[tuple[int, ...], ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.maps)
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {m.table: i for i, m in enumerate(self.maps)})
 
     def index_of(self, m: ActionMap) -> int:
         return self._index[m.table]
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(f"op{i}" for i in range(self.n))
-
-    def hemiring(self) -> Hemiring:
-        name = f"{'L' if self.side == LEFT else 'R'}({self.structure})"
-        return Hemiring(self.labels(), self.zero, self.add, self.mul, name)
-
-
-def hemiring_as_product_structure(op: OperatorHemiring) -> ProductStructure:
-    return hemiring_product_structure(op.hemiring())
 
 
 def _pointwise_add(s: FiniteMonoid, m1: ActionMap, m2: ActionMap) -> ActionMap:
@@ -248,8 +221,10 @@ def build_operator(g: GammaHemiring, side: str, cap: int | None = None) -> Opera
 
     zero = index[tuple(s.zero for _ in range(s.n))]
     op = OperatorHemiring(
-        side, g.name, tuple(maps), tuple(map(tuple, add_rows)), tuple(map(tuple, mul_rows)),
-        zero, tuple(prov), embed,
+        tuple(f"op{k}" for k in range(len(maps))), zero,
+        tuple(map(tuple, add_rows)), tuple(map(tuple, mul_rows)),
+        f"{'L' if side == LEFT else 'R'}({g.name})",
+        side=side, structure=g.name, maps=tuple(maps), provenance=tuple(prov), embed=embed,
     )
     for k, m in enumerate(maps):
         if m.table[s.zero] != s.zero:

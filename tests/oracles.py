@@ -758,3 +758,24 @@ def gamma_subset_scan(ps: ProductStructure, members):
             if not is_subset(simple_h_product(ps, a, b), generalized_h_product(ps, a, b)):
                 return {"mu": _vals(a), "nu": _vals(b)}
     return None
+
+
+def rescan_additive_closure(mon, mask: int) -> int:
+    """Closure of the masked set under the carrier addition, summing every
+    ordered pair of the set again each round until no sum is new.  It
+    assumes nothing of the addition; fuzzy.additive_closure_mask sums only
+    new elements against the set, which relies on addition commuting.
+    """
+    add = mon.add
+    closed = mask
+    changed = True
+    while changed:
+        changed = False
+        members = [i for i in range(mon.n) if closed >> i & 1]
+        for u in members:
+            for v in members:
+                bit = 1 << add[u][v]
+                if not closed & bit:
+                    closed |= bit
+                    changed = True
+    return closed

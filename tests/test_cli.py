@@ -395,7 +395,16 @@ class TestExitCodeContract:
         assert (code, out, err) == (1, "fails: h-ideal:top-at-zero zero=0, value=1/2\n", "")
 
     @pytest.mark.parametrize(
-        "argv", [("verify",), ("check", "prime"), ("check", "semiprime")], ids="-".join
+        "argv",
+        [
+            ("verify",),
+            ("check", "prime"),
+            ("check", "semiprime"),
+            ("check", "h-ideal"),
+            ("check", "bi"),
+            ("check", "quasi"),
+        ],
+        ids="-".join,
     )
     def test_bad_grid_rejected_before_context(self, capout, tmp_path, monkeypatch, argv):
         # The grid is read before the operator closures are built, so a

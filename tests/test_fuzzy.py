@@ -1,12 +1,16 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gammah import corpus
 from gammah.core import as_product_structure, product_monoid
+from gammah.correspondence import build_context
 from gammah.fuzzy import (
     FuzzySubset,
+    additive_closure_mask,
     cartesian,
     characteristic,
     constant,
@@ -20,7 +24,12 @@ from gammah.fuzzy import (
     simple_h_product,
     unit_rational,
 )
-from oracles import grid_subsets, naive_generalized_h_product, naive_simple_h_product
+from oracles import (
+    grid_subsets,
+    naive_generalized_h_product,
+    naive_simple_h_product,
+    rescan_additive_closure,
+)
 
 GRID = (Fraction(0), Fraction(1, 2), Fraction(1))
 
@@ -204,3 +213,21 @@ class TestHProducts:
         assert is_subset(
             simple_h_product(ps, theta, mu), simple_h_product(ps, theta, mu2)
         )
+
+
+@pytest.mark.parametrize("g", corpus.standard_corpus(), ids=lambda g: g.name)
+def test_additive_closure_equals_rescan(g):
+    # Every mask of a carrier with at most 8 elements, and 300 seeded random
+    # masks of a larger one (of 1 to n elements, uniformly), on S, L, R and SxS.
+    ctx = build_context(g)
+    rng = random.Random(0)
+    for which in ("S", "L", "R", "SxS"):
+        mon = ctx.ps(which).carrier
+        masks = range(1 << mon.n) if mon.n <= 8 else [
+            sum(1 << i for i in rng.sample(range(mon.n), rng.randint(1, mon.n)))
+            for _ in range(300)
+        ]
+        for mask in masks:
+            assert additive_closure_mask(mon, mask) == rescan_additive_closure(mon, mask), (
+                which, mask
+            )

@@ -551,6 +551,40 @@ class TestLatticeRoute:
         _assert_factor_route(ctx, calls)
 
 
+def _pairs(n):
+    return n * (n + 1) // 2
+
+
+# Fuzzy-map calls per map name on Z2xZ2, as a function of the sizes ns and
+# nl of the S and L families: one per member and side, plus one per pair
+# only where the identity maps a sum, a meet or an h-product.
+MAP_CALLS = {
+    "T3.8-monotone": lambda ns, nl: {"plus_prime": ns, "plus": nl},
+    "T3.8-lattice": lambda ns, nl: {"plus_prime": ns + 2 * _pairs(ns)},
+    "P-comp": lambda ns, nl: {"plus_prime": ns + ns * ns, "star_prime": ns + ns * ns},
+    "S4-commute-starprime": lambda ns, nl: {"star_prime": ns, "plus_prime": ns},
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(MAP_CALLS))
+def test_each_member_mapped_once(monkeypatch, check_id):
+    ctx = build_context(corpus.z2xz2())
+    fams = _Families(ctx, tuple(Fraction(v) for v in GRID))
+    sizes = [len(fams.fuzzy(c).members) for c in "SL"]
+    assert sizes == [9, 9]
+    calls = collections.Counter()
+    for name in ("plus", "star", "plus_prime", "star_prime"):
+        honest_map = getattr(gammah.correspondence, name)
+
+        def counted(ctx, subset, name=name, honest_map=honest_map):
+            calls[name] += 1
+            return honest_map(ctx, subset)
+
+        monkeypatch.setattr(gammah.correspondence, name, counted)
+    assert run_check(check_id, ctx, GRID, fams).status == "pass"
+    assert calls == MAP_CALLS[check_id](*sizes)
+
+
 def _count_hideal_route(ctx, monkeypatch):
     """The carriers of every is_fuzzy_h_ideal call of a passing S4-hideal,
     families prebuilt."""

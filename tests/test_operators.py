@@ -2,16 +2,18 @@ import itertools
 
 import pytest
 
-from gammah import corpus
+from gammah import corpus, hemiring_product_structure
 from gammah.core import (
     CapacityError,
     FiniteMonoid,
     GammaHemiring,
+    Hemiring,
     StructureError,
     matrix_gamma_hemiring,
     product,
     validate_hemiring,
 )
+from gammah.correspondence import build_context
 from gammah.operators import (
     FormalSum,
     build_operator,
@@ -132,7 +134,22 @@ class TestBuildOperator:
         for g in all_corpus:
             for side in ("left", "right"):
                 op = build_operator(g, side)
-                assert validate_hemiring(op.hemiring()).valid, (g.name, side)
+                assert validate_hemiring(op).valid, (g.name, side)
+
+    def test_is_the_hemiring_of_its_context(self, all_corpus):
+        # The op is itself the hemiring: elements op<k>, name L(...) or
+        # R(...), and its product structure is the context's L or R one.
+        for g in all_corpus:
+            ctx = build_context(g)
+            for side, tag, ps in (("left", "L", ctx.l_ps), ("right", "R", ctx.r_ps)):
+                op = build_operator(g, side)
+                assert isinstance(op, Hemiring), (g.name, side)
+                assert op.elements == tuple(f"op{k}" for k in range(len(op.maps))), (g.name, side)
+                assert op.name == f"{tag}({g.name})"
+                own = hemiring_product_structure(op)
+                assert own.carrier.elements == ps.carrier.elements, (g.name, side)
+                assert own.carrier.add == ps.carrier.add, (g.name, side)
+                assert own.pair_products == ps.pair_products, (g.name, side)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_matches_full_rescan(self, all_corpus, side):
