@@ -168,6 +168,9 @@ def fuzzy_from_doc(doc: dict, ctx: corr.CorrespondenceContext, structure_name: s
         )
     carrier = ctx.ps(over).carrier
     index = {e: i for i, e in enumerate(carrier.elements)}
+    if len(index) != carrier.n:
+        # Only SxS can repeat: its "(x,y)" labels collide when S's contain commas.
+        raise InputError(f"the labels of {over} repeat, so a fuzzy file over it is ambiguous")
     values = [Fraction(0)] * carrier.n
     raw = doc.get("values", {})
     if not isinstance(raw, dict):
@@ -298,7 +301,7 @@ def cmd_check(args) -> int:
         if is_fuzzy_h_ideal(ps, mu, args.side, require_top=True).holds:
             family = enumerate_fuzzy_h_ideals(ps, grid, args.side)
         else:
-            family = FuzzyHIdealFamily(ps.carrier, grid, args.side, ())
+            family = FuzzyHIdealFamily(ps.carrier, args.side, ())
         check = is_prime_fuzzy_h_ideal if args.kind == "prime" else is_semiprime_fuzzy_h_ideal
         res = check(ps, mu, family)
     print(res.describe())

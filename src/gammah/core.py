@@ -35,9 +35,7 @@ class SettingError(ValueError):
     """An environment setting that does not parse."""
 
 
-def _cap(env_name: str, default: int, override: int | None) -> int:
-    if override is not None:
-        return override
+def _cap(env_name: str, default: int) -> int:
     raw = os.environ.get(env_name, "")
     if not raw:
         return default
@@ -45,6 +43,13 @@ def _cap(env_name: str, default: int, override: int | None) -> int:
         return int(raw)
     except ValueError:
         raise SettingError(f"{env_name} must be an integer, not {raw!r}") from None
+
+
+def _check_cells(what: str, cells: int) -> None:
+    """Raise CapacityError when a table of `cells` entries exceeds GAMMAH_CELL_CAP."""
+    limit = _cap(CELL_CAP_ENV, DEFAULT_CELL_CAP)
+    if cells > limit:
+        raise CapacityError(f"{what} needs {cells} cells, cap is {limit}")
 
 
 def _memo(obj, key, build):
@@ -184,8 +189,8 @@ class Hemiring:
     def n(self) -> int:
         return len(self.elements)
 
-    def monoid(self, name: str | None = None) -> FiniteMonoid:
-        return FiniteMonoid(self.elements, self.zero, self.add, name if name is not None else self.name)
+    def monoid(self) -> FiniteMonoid:
+        return FiniteMonoid(self.elements, self.zero, self.add, self.name)
 
 
 def validate_hemiring(h: Hemiring, violation_cap: int = DEFAULT_VIOLATION_CAP) -> ValidationReport:
@@ -274,9 +279,7 @@ def check_action_shape(g: GammaHemiring) -> None:
 
 
 def validate_gamma_hemiring(
-    g: GammaHemiring,
-    violation_cap: int = DEFAULT_VIOLATION_CAP,
-    cell_cap: int | None = None,
+    g: GammaHemiring, violation_cap: int = DEFAULT_VIOLATION_CAP
 ) -> ValidationReport:
     """Check axioms 1-6 exhaustively over all argument tuples.
 
@@ -293,9 +296,7 @@ def validate_gamma_hemiring(
             )
     check_action_shape(g)
     ns, ng = g.S.n, g.Gamma.n
-    limit = _cap(CELL_CAP_ENV, DEFAULT_CELL_CAP, cell_cap)
-    if ns * ng * ns > limit:
-        raise CapacityError(f"axiom check needs {ns * ng * ns} cells, cap is {limit}")
+    _check_cells("axiom check", ns * ng * ns)
 
     out = _Violations(violation_cap)
     sl, gl = g.S.elements, g.Gamma.elements
@@ -406,9 +407,7 @@ def from_hemiring(
 def gamma_from_hemiring(h: Hemiring) -> GammaHemiring:
     """Same as from_hemiring but for an already validated Hemiring value."""
     n = h.n
-    limit = _cap(CELL_CAP_ENV, DEFAULT_CELL_CAP, None)
-    if n ** 3 > limit:
-        raise CapacityError(f"hemiring action needs {n ** 3} cells, cap is {limit}")
+    _check_cells("hemiring action", n ** 3)
     mul = h.mul
     action = tuple(
         tuple(tuple(mul[mul[a][g]][b] for b in range(n)) for g in range(n))
@@ -428,6 +427,7 @@ def product_monoid(a: FiniteMonoid, b: FiniteMonoid) -> FiniteMonoid:
     """
 
     def build() -> tuple[FiniteMonoid | None, FiniteMonoid]:
+        _check_cells("product carrier", (a.n * b.n) ** 2)
         nb = b.n
         labels = tuple(f"({x},{y})" for x in a.elements for y in b.elements)
         zero = a.zero * nb + b.zero
@@ -470,8 +470,9 @@ def product(g1: GammaHemiring, g2: GammaHemiring) -> GammaHemiring:
     ga, gb = g1.Gamma, g2.Gamma
     if (ga.elements, ga.zero, ga.add) != (gb.elements, gb.zero, gb.add):
         raise StructureError("factors must share the same Gamma (labels and tables)")
-    s = product_monoid(g1.S, g2.S)
     n1, n2, ng = g1.S.n, g2.S.n, ga.n
+    _check_cells("product structure", (n1 * n2) ** 2 * ng)
+    s = product_monoid(g1.S, g2.S)
     a1, a2 = g1.action, g2.action
     action = tuple(
         tuple(
@@ -521,12 +522,7 @@ def _mat_mul(h: Hemiring, m1: Sequence[int], r1: int, c1: int, m2: Sequence[int]
     return tuple(out)
 
 
-def matrix_gamma_hemiring(
-    h: Hemiring,
-    rows: int,
-    cols: int,
-    cell_cap: int | None = None,
-) -> GammaHemiring:
+def matrix_gamma_hemiring(h: Hemiring, rows: int, cols: int) -> GammaHemiring:
     """S = rows x cols matrices over h, Gamma = cols x rows, triple product action."""
     if rows < 1 or cols < 1:
         raise StructureError("matrix dimensions must be positive")
@@ -535,9 +531,7 @@ def matrix_gamma_hemiring(
         raise StructureError(f"base is not a hemiring: {rep.violations[0][0]}", rep)
     ns = h.n ** (rows * cols)
     ng = h.n ** (cols * rows)
-    limit = _cap(CELL_CAP_ENV, DEFAULT_CELL_CAP, cell_cap)
-    if ns * ng * ns > limit:
-        raise CapacityError(f"matrix structure needs {ns * ng * ns} cells, cap is {limit}")
+    _check_cells("matrix structure", ns * ng * ns)
     name = f"Mat({h.name or 'H'},{rows}x{cols})"
     s = _matrix_monoid(h, rows, cols, f"{name}:S")
     gam = _matrix_monoid(h, cols, rows, f"{name}:Gamma")

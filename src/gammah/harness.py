@@ -138,9 +138,7 @@ class _Families:
     def fuzzy(self, which: str, kind: str = TWO_SIDED) -> FuzzyHIdealFamily:
         def build():
             mon, lattice = self.ctx.ps(which).carrier, [c.mask for c in self.crisp(which, kind)]
-            return FuzzyHIdealFamily(
-                mon, self.grid, kind, _cut_family(mon, self.grid, kind, lattice, None)
-            )
+            return FuzzyHIdealFamily(mon, kind, _cut_family(mon, self.grid, kind, lattice))
 
         return self._cached(("fuzzy", which, kind), build)
 

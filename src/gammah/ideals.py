@@ -34,6 +34,7 @@ from .fuzzy import (
     FuzzySubset,
     _inside,
     additive_closure_mask,
+    characteristic,
     constant,
     generalized_h_product,
     h_hull,
@@ -140,47 +141,20 @@ def _h_witness(mon: FiniteMonoid, predicate) -> dict:
 
 
 def is_h_ideal(ps: ProductStructure, a: CrispSubset, sidedness: str = TWO_SIDED) -> CheckResult:
-    """Closure under +, the sided products and the h-condition."""
+    """Closure under +, the sided products and the h-condition: the fuzzy
+    checker (_fuzzy_check) on chi_A with top at zero.
+
+    By the one-cut case of the level-subset theorem (module docstring), A is
+    a sided h-ideal exactly when chi_A is a fuzzy one with value 1 at zero:
+    chi_A's only positive cut is A, each fuzzy condition fails exactly when
+    its inputs lie in A and its output does not, and chi_A(zero) = 1 puts
+    zero in A.  A failure names the fuzzy condition and its witness.
+    """
     if sidedness not in SIDEDNESS:
         raise ValueError(f"sidedness must be one of {SIDEDNESS}")
-    mon = ps.carrier
-    if a.carrier != mon:
+    if a.carrier != ps.carrier:
         raise ValueError("subset lives on a different carrier")
-    lab = mon.elements
-    idx = a.indices()
-    if not idx:
-        return _fail("nonempty")
-    if not a.members[mon.zero]:
-        return _fail("zero-membership", {"zero": lab[mon.zero]})
-    mask = a.mask
-    add = mon.add
-    for i in idx:
-        row = add[i]
-        for j in idx:
-            if not mask >> row[j] & 1:
-                return _fail("add-closed", {"a": lab[i], "b": lab[j]})
-    ppm = pair_product_masks(ps)
-    if sidedness in (TWO_SIDED, LEFT):
-        for x in range(mon.n):
-            row = ppm[x]
-            for i in idx:
-                if row[i] & ~mask:
-                    p = next(q for q in ps.pair_products[x][i] if not mask >> q & 1)
-                    return _fail("left-absorbing", {"x": lab[x], "a": lab[i], "xa": lab[p]})
-    if sidedness in (TWO_SIDED, RIGHT):
-        for i in idx:
-            row = ppm[i]
-            for x in range(mon.n):
-                if row[x] & ~mask:
-                    p = next(q for q in ps.pair_products[i][x] if not mask >> q & 1)
-                    return _fail("right-absorbing", {"a": lab[i], "x": lab[x], "ax": lab[p]})
-    if h_hull(add, same_sum_rows(mon), mask, mask):
-        witness = _h_witness(
-            mon,
-            lambda x, a, b: not mask >> x & 1 and mask >> a & 1 and mask >> b & 1,
-        )
-        return _fail("h-condition", witness)
-    return _ok()
+    return _fuzzy_check(ps, characteristic(a.carrier, a.indices()), sidedness, require_top=True)
 
 
 def _closure_mask(ps: ProductStructure, mask: int, kind: str) -> int:
@@ -238,11 +212,7 @@ def h_closure(ps: ProductStructure, a: CrispSubset | Iterable[int], sidedness: s
     return crisp_from_mask(mon, _closure_mask(ps, a.mask, sidedness))
 
 
-def enumerate_h_ideals(
-    ps: ProductStructure,
-    sidedness: str = TWO_SIDED,
-    cap: int | None = None,
-) -> list[CrispSubset]:
+def enumerate_h_ideals(ps: ProductStructure, sidedness: str = TWO_SIDED) -> list[CrispSubset]:
     """All sided h-ideals, or with sidedness BI or QUASI all nonempty closed sets.
 
     Closed sets form a Moore family (_closure_mask), so each is the join of
@@ -256,7 +226,7 @@ def enumerate_h_ideals(
     """
     _require_kind(sidedness)
     mon = ps.carrier
-    limit = _cap(CARRIER_CAP_ENV, DEFAULT_CARRIER_CAP, cap)
+    limit = _cap(CARRIER_CAP_ENV, DEFAULT_CARRIER_CAP)
     if mon.n > limit:
         raise CapacityError(f"carrier size {mon.n} above enumeration cap {limit}")
     found: set[int] = set()
@@ -398,7 +368,6 @@ class FuzzyHIdealFamily:
     """All grid-valued members of a kind; for a sidedness, with top at zero."""
 
     carrier: FiniteMonoid
-    grid: tuple[Fraction, ...]
     kind: str
     members: tuple[FuzzySubset, ...]
 
@@ -417,7 +386,6 @@ def _cut_family(
     grid: tuple[Fraction, ...],
     kind: str,
     lattice: Sequence[int],
-    cap: int | None,
 ) -> tuple[FuzzySubset, ...]:
     """Every member of a kind valued in a checked grid, sorted by values.
 
@@ -444,7 +412,7 @@ def _cut_family(
     ends the walk with at most limit + 1 chains held; a negative cap ends it
     at the first level.
     """
-    limit = _cap(CANDIDATE_CAP_ENV, DEFAULT_CANDIDATE_CAP, cap)
+    limit = _cap(CANDIDATE_CAP_ENV, DEFAULT_CANDIDATE_CAP)
     upper = lattice if kind in SIDEDNESS else [*lattice, 0]
     chains = [((1 << mon.n) - 1, (ZERO,) * mon.n)]
     pool = lattice
@@ -465,16 +433,13 @@ def _cut_family(
 
 
 def enumerate_fuzzy_h_ideals(
-    ps: ProductStructure,
-    grid: Sequence,
-    kind: str = TWO_SIDED,
-    cap: int | None = None,
+    ps: ProductStructure, grid: Sequence, kind: str = TWO_SIDED
 ) -> FuzzyHIdealFamily:
     """Complete family of grid-valued members of a kind (_cut_family): fuzzy
     sided h-ideals with top at zero, or nonempty fuzzy h-bi- or h-quasi-ideals."""
     grid = _check_grid(grid)
     mon, lattice = ps.carrier, [c.mask for c in enumerate_h_ideals(ps, kind)]
-    return FuzzyHIdealFamily(mon, grid, kind, _cut_family(mon, grid, kind, lattice, cap))
+    return FuzzyHIdealFamily(mon, kind, _cut_family(mon, grid, kind, lattice))
 
 
 RELATIVE = "relative-to-family"

@@ -147,7 +147,7 @@ def _compose(side: str, m1: ActionMap, m2: ActionMap) -> ActionMap:
     return ActionMap(tuple(m2.table[v] for v in m1.table))
 
 
-def build_operator(g: GammaHemiring, side: str, cap: int | None = None) -> OperatorHemiring:
+def build_operator(g: GammaHemiring, side: str) -> OperatorHemiring:
     """Breadth-first closure of the generator maps under + and composition.
 
     Maps are deduplicated by table equality; each map keeps the first formal
@@ -170,7 +170,7 @@ def build_operator(g: GammaHemiring, side: str, cap: int | None = None) -> Opera
     """
     if side not in (LEFT, RIGHT):
         raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}")
-    limit = _cap(OPERATOR_CAP_ENV, DEFAULT_OPERATOR_CAP, cap)
+    limit = _cap(OPERATOR_CAP_ENV, DEFAULT_OPERATOR_CAP)
     s = g.S
     rep = validate_monoid(s)
     if not rep.valid:

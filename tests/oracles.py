@@ -175,6 +175,59 @@ def closure_subsets_h_ideals(ps: ProductStructure) -> list[tuple[int, ...]]:
     return sorted(seen, key=lambda t: (len(t), t))
 
 
+def crisp_h_ideal_loops(ps: ProductStructure, a, sidedness: str = "two-sided"):
+    """The crisp checker as its own loops: zero-membership, add-closed, the
+    left- then right-absorbing rule over pair_product_masks, the h-condition.
+    ideals.is_h_ideal runs the fuzzy checker on chi_A instead; the verdicts
+    must agree, and the nonempty and h-condition witnesses too.  Reads
+    same_sum_rows through gammah.ideals when called, so a patched relation
+    reaches it.
+    """
+    import gammah.ideals as ideals
+    from gammah.fuzzy import h_hull, pair_product_masks
+
+    mon = ps.carrier
+    lab = mon.elements
+    idx = a.indices()
+    if not idx:
+        return ideals.CheckResult(False, "nonempty", {})
+    if not a.members[mon.zero]:
+        return ideals.CheckResult(False, "zero-membership", {"zero": lab[mon.zero]})
+    mask = a.mask
+    add = mon.add
+    for i in idx:
+        row = add[i]
+        for j in idx:
+            if not mask >> row[j] & 1:
+                return ideals.CheckResult(False, "add-closed", {"a": lab[i], "b": lab[j]})
+    ppm = pair_product_masks(ps)
+    if sidedness in ("two-sided", "left"):
+        for x in range(mon.n):
+            row = ppm[x]
+            for i in idx:
+                if row[i] & ~mask:
+                    p = next(q for q in ps.pair_products[x][i] if not mask >> q & 1)
+                    return ideals.CheckResult(
+                        False, "left-absorbing", {"x": lab[x], "a": lab[i], "xa": lab[p]}
+                    )
+    if sidedness in ("two-sided", "right"):
+        for i in idx:
+            row = ppm[i]
+            for x in range(mon.n):
+                if row[x] & ~mask:
+                    p = next(q for q in ps.pair_products[i][x] if not mask >> q & 1)
+                    return ideals.CheckResult(
+                        False, "right-absorbing", {"a": lab[i], "x": lab[x], "ax": lab[p]}
+                    )
+    if h_hull(add, ideals.same_sum_rows(mon), mask, mask):
+        witness = ideals._h_witness(
+            mon,
+            lambda x, a, b: not mask >> x & 1 and mask >> a & 1 and mask >> b & 1,
+        )
+        return ideals.CheckResult(False, "h-condition", witness)
+    return ideals.CheckResult(True)
+
+
 def naive_is_fuzzy_h_ideal(
     ps: ProductStructure, values: tuple[Fraction, ...], sidedness: str, require_top: bool
 ) -> bool:

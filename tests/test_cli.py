@@ -151,6 +151,15 @@ class TestLargeClosures:
         assert (code, out) == (3, "")
         assert len(err.splitlines()) == 1 and err.startswith("capacity:")
 
+    def test_pair_carrier_over_cell_cap_exits_three(self, capout, tmp_path, monkeypatch):
+        # Validating Z2 takes 2*2*2 = 8 cells; the addition table of its
+        # SxS takes (2*2)^2 = 16.
+        monkeypatch.setenv("GAMMAH_CELL_CAP", "15")
+        mu = write_fuzzy(tmp_path, {"over": "SxS", "values": {"(0,0)": "1"}})
+        code, out, err = capout("check", spath("z2"), mu)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("capacity:")
+
     def test_verify_on_mat_z3_hits_capacity(self, capout, tmp_path):
         code, out, err = capout("verify", self.write_matrix(tmp_path, 3))
         assert code == 3
@@ -241,6 +250,25 @@ class TestCheck:
         mu = write_fuzzy(tmp_path, {"over": "S", "values": {"q": "1"}})
         code, _, err = capout("check", spath("z2"), mu)
         assert code == 2
+
+    def test_repeated_pair_labels_exit_two(self, capout, tmp_path):
+        # Z2 with 1 relabelled "0,0": the pairs (0, 0,0) and (0,0, 0) both
+        # get the label "(0,0,0)".
+        doc = json.loads(Path(spath("z2")).read_text())
+        relabel = {"0": "0", "1": "0,0"}
+        s = doc["S"]
+        s["elements"] = [relabel[e] for e in s["elements"]]
+        s["add"] = [[relabel[e] for e in row] for row in s["add"]]
+        doc["action"] = [[[relabel[e] for e in row] for row in plane] for plane in doc["action"]]
+        path = tmp_path / "z2_relabelled.json"
+        path.write_text(json.dumps(doc))
+        pair = write_fuzzy(tmp_path, {"over": "SxS", "values": {"(0,0,0)": "1"}}, "pair.json")
+        code, out, err = capout("check", str(path), pair)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "SxS" in err
+        single = write_fuzzy(tmp_path, {"over": "S", "values": {"0": "1", "0,0": "1/2"}}, "s.json")
+        code, out, _ = capout("check", str(path), single)
+        assert (code, out.strip()) == (0, "holds")
 
 
 class TestMap:

@@ -92,9 +92,10 @@ class TestValidateGammaHemiring:
         assert not rep.valid
         assert all(law.startswith("S:") for law, _ in rep.violations)
 
-    def test_cell_cap(self, boolean):
+    def test_cell_cap(self, boolean, monkeypatch):
+        monkeypatch.setenv("GAMMAH_CELL_CAP", "1")
         with pytest.raises(CapacityError):
-            validate_gamma_hemiring(boolean, cell_cap=1)
+            validate_gamma_hemiring(boolean)
 
     @pytest.mark.parametrize("name", ["Z4", "Z2xZ2", "Mat(B,2x1)"])
     def test_matches_element_loop_under_single_cell_corruption(self, all_corpus, name):
@@ -235,9 +236,10 @@ class TestMatrix:
         assert m.S.n == 4 and m.Gamma.n == 4
         assert validate_gamma_hemiring(m).valid
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setenv("GAMMAH_CELL_CAP", "100")
         with pytest.raises(CapacityError):
-            matrix_gamma_hemiring(corpus.boolean_hemiring(), 2, 2, cell_cap=100)
+            matrix_gamma_hemiring(corpus.boolean_hemiring(), 2, 2)
 
     def test_bad_dimensions(self):
         with pytest.raises(StructureError):

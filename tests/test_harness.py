@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import itertools
 import json
@@ -212,9 +213,9 @@ class TestRunSuite:
         honest = gammah.ideals.enumerate_h_ideals
         calls = collections.Counter()
 
-        def counted(ps, sidedness=TWO_SIDED, cap=None):
+        def counted(ps, sidedness=TWO_SIDED):
             calls[id(ps), sidedness] += 1
-            return honest(ps, sidedness, cap)
+            return honest(ps, sidedness)
 
         monkeypatch.setattr(gammah.harness, "enumerate_h_ideals", counted)
         monkeypatch.setattr(gammah.ideals, "enumerate_h_ideals", counted)
@@ -786,3 +787,25 @@ def test_meet_lemma(monkeypatch, name, carrier, relation):
             index = {m.values for m in members}
             for a, b in itertools.combinations_with_replacement(members, 2):
                 assert intersect(a, b).values in index, (grid, kind, a, b)
+
+
+def test_complete_lattices_failing_branch_on_z4():
+    """No structure fails C3.10, so its failing branch runs on a family with
+    one member dropped by hand: (1, 1/2, 1, 1/2) on L of Z4, the sum of two
+    other members and the meet of no pair of them."""
+    ctx = build_context(corpus.zmod(4))
+    fams = _Families(ctx, tuple(Fraction(v) for v in GRID))
+    fam = fams.fuzzy("L", "left")
+    dropped = tuple(Fraction(v) for v in ("1", "1/2", "1", "1/2"))
+    members = [m for m in fam.members if m.values != dropped]
+    assert len(members) == len(fam.members) - 1
+    assert all(intersect(a, b).values != dropped for a in members for b in members)
+    fams._cache["fuzzy", "L", "left"] = dataclasses.replace(fam, members=tuple(members))
+    res = run_check("C3.10", ctx, GRID, fams)
+    assert res.status == "fail"
+    assert res.witness == {
+        "carrier": "L", "sidedness": "left", "op": "sum",
+        "a": ["1", "0", "1", "0"], "b": ["1", "1/2", "1/2", "1/2"],
+        "result": ["1", "1/2", "1", "1/2"],
+    }
+    assert res.witness == complete_lattices_scan(ctx, fams)

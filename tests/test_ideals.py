@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gammah.fuzzy
 import gammah.ideals
 from gammah import corpus
 from gammah.core import (
@@ -29,9 +30,11 @@ from gammah.fuzzy import (
 from gammah.ideals import (
     BI,
     QUASI,
+    SIDEDNESS,
     CheckResult,
     _closure_mask,
     crisp,
+    crisp_from_mask,
     enumerate_fuzzy_h_ideals,
     enumerate_h_ideals,
     h_closure,
@@ -46,11 +49,13 @@ from oracles import (
     brute_fuzzy_family,
     brute_h_ideals,
     closure_subsets_h_ideals,
+    crisp_h_ideal_loops,
     direct_filter,
     element_loop_fuzzy_check,
     pair_scan_prime_like,
     product_cut_quasi_closure,
 )
+from test_acceptance import corrupted_same_sum_rows
 
 GRID = ("0", "1/2", "1")
 GRIDS = (GRID, ("0", "1/3", "2/3", "1"))
@@ -149,7 +154,7 @@ class TestCrispIdeals:
     def test_missing_zero_fails_precondition(self, ps_z2):
         res = is_h_ideal(ps_z2, crisp(ps_z2.carrier, [1]))
         assert not res.holds
-        assert res.condition == "zero-membership"
+        assert res.condition == "top-at-zero"
 
     def test_whole_carrier_is_h_ideal(self, ps_b):
         assert is_h_ideal(ps_b, crisp(ps_b.carrier, [0, 1])).holds
@@ -160,7 +165,25 @@ class TestCrispIdeals:
     def test_non_absorbing_reported(self, ps_z4):
         res = is_h_ideal(ps_z4, crisp(ps_z4.carrier, [0, 1]))
         assert not res.holds
-        assert res.condition in ("add-closed", "left-absorbing", "right-absorbing")
+        assert res.condition in ("additive", "left-product", "right-product")
+
+    @pytest.mark.parametrize("relation", ["honest", "skip-z"])
+    @pytest.mark.parametrize("carrier", SMALL_CARRIERS)
+    def test_matches_crisp_loops(self, monkeypatch, carrier, relation):
+        """is_h_ideal, the fuzzy checker on chi_A, gives the crisp loops'
+        verdict on every subset and sidedness, under the skip-z same-sum
+        relation too; nonempty and h-condition failures keep their witness."""
+        if relation == "skip-z":
+            monkeypatch.setattr(gammah.fuzzy, "same_sum_rows", corrupted_same_sum_rows)
+            monkeypatch.setattr(gammah.ideals, "same_sum_rows", corrupted_same_sum_rows)
+        ps = CARRIERS[carrier]
+        for bits in range(1 << ps.carrier.n):
+            subset = crisp_from_mask(ps.carrier, bits)
+            for sid in SIDEDNESS:
+                got, want = is_h_ideal(ps, subset, sid), crisp_h_ideal_loops(ps, subset, sid)
+                assert got.holds == want.holds, (bits, sid)
+                if want.condition in ("nonempty", "h-condition"):
+                    assert (got.condition, got.witness) == (want.condition, want.witness)
 
 
 class TestHClosure:
@@ -301,9 +324,10 @@ class TestEnumerateHIdeals:
         assert len(got) == 5
         assert got == brute_h_ideals(ps, sidedness)
 
-    def test_carrier_cap(self, ps_z4):
+    def test_carrier_cap(self, ps_z4, monkeypatch):
+        monkeypatch.setenv("GAMMAH_IDEAL_CARRIER_CAP", "2")
         with pytest.raises(CapacityError):
-            enumerate_h_ideals(ps_z4, cap=2)
+            enumerate_h_ideals(ps_z4)
 
     def test_lattice_cap(self, monkeypatch):
         # The Klein group with the zero action: the principal closures are
@@ -456,15 +480,18 @@ class TestFamilies:
             compared += 1
         assert compared
 
-    def test_h_family_capped(self, ps_z4):
+    def test_h_family_capped(self, ps_z4, monkeypatch):
+        monkeypatch.setenv("GAMMAH_FUZZY_CANDIDATE_CAP", "1")
         with pytest.raises(CapacityError):
-            enumerate_fuzzy_h_ideals(ps_z4, GRID, cap=1)
+            enumerate_fuzzy_h_ideals(ps_z4, GRID)
 
-    def test_cap_counts_chains(self, ps_z2):
+    def test_cap_counts_chains(self, ps_z2, monkeypatch):
         # Z2 has three members at GRID: a cap of 3 admits them, 2 does not.
-        assert len(enumerate_fuzzy_h_ideals(ps_z2, GRID, cap=3).members) == 3
+        monkeypatch.setenv("GAMMAH_FUZZY_CANDIDATE_CAP", "3")
+        assert len(enumerate_fuzzy_h_ideals(ps_z2, GRID).members) == 3
+        monkeypatch.setenv("GAMMAH_FUZZY_CANDIDATE_CAP", "2")
         with pytest.raises(CapacityError, match="more than 2"):
-            enumerate_fuzzy_h_ideals(ps_z2, GRID, cap=2)
+            enumerate_fuzzy_h_ideals(ps_z2, GRID)
 
     def test_long_grid(self, ps_z2):
         # 1500 positive levels, past the interpreter's recursion limit; one
@@ -480,11 +507,12 @@ class TestFamilies:
         with pytest.raises(ValueError):
             enumerate_fuzzy_h_ideals(ps_z2, ("1", "0"))
 
-    def test_bi_quasi_enumerations_capped(self, ps_z2):
+    def test_bi_quasi_enumerations_capped(self, ps_z2, monkeypatch):
+        monkeypatch.setenv("GAMMAH_FUZZY_CANDIDATE_CAP", "1")
         with pytest.raises(CapacityError):
-            enumerate_fuzzy_h_ideals(ps_z2, GRID, BI, cap=1)
+            enumerate_fuzzy_h_ideals(ps_z2, GRID, BI)
         with pytest.raises(CapacityError):
-            enumerate_fuzzy_h_ideals(ps_z2, GRID, QUASI, cap=1)
+            enumerate_fuzzy_h_ideals(ps_z2, GRID, QUASI)
 
     def test_bi_enumeration_contains_family(self, ps_z4):
         fam = {m.values for m in enumerate_fuzzy_h_ideals(ps_z4, GRID).members}

@@ -187,9 +187,10 @@ class TestBuildOperator:
                 for m, f in zip(op.maps, op.provenance):
                     assert realize(g, f).table == m.table
 
-    def test_cap_enforced(self, mat_b):
+    def test_cap_enforced(self, mat_b, monkeypatch):
+        monkeypatch.setenv("GAMMAH_OPERATOR_CAP", "3")
         with pytest.raises(CapacityError):
-            build_operator(mat_b, "left", cap=3)
+            build_operator(mat_b, "left")
 
     def test_closure_maps_are_additive_and_fix_zero(self, all_corpus):
         for g in all_corpus:
