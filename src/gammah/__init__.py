@@ -24,7 +24,6 @@ from .fuzzy import (
     cartesian,
     characteristic,
     constant,
-    equals,
     fuzzy_sum,
     generalized_h_product,
     intersect,
@@ -54,10 +53,8 @@ from .operators import (
     OperatorHemiring,
     Unity,
     build_operator,
-    embed,
     find_unity,
     realize,
-    rho_equivalent,
 )
 from .correspondence import (
     CorrespondenceContext,

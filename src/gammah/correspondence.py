@@ -153,7 +153,9 @@ def _crisp_map(
     """
     src, dst, rows = _transfer(ctx, tag, direction)
     _expect(p, ctx.ps(src).carrier, src)
-    return CrispSubset(ctx.ps(dst).carrier, _mins(p.members, rows))
+    mask = p.mask
+    out = sum(1 << k for k, row in enumerate(rows) if all(mask >> i & 1 for i in row))
+    return CrispSubset(ctx.ps(dst).carrier, out)
 
 
 def _fuzzy_map(

@@ -84,11 +84,6 @@ def is_subset(m1: FuzzySubset, m2: FuzzySubset) -> bool:
     return all(a <= b for a, b in zip(m1.values, m2.values))
 
 
-def equals(m1: FuzzySubset, m2: FuzzySubset) -> bool:
-    _require_same_carrier(m1, m2)
-    return m1.values == m2.values
-
-
 def fuzzy_sum(m1: FuzzySubset, m2: FuzzySubset) -> FuzzySubset:
     """(m1 (+) m2)(x) = max over x = u+v of min(m1(u), m2(v)).
 

@@ -65,34 +65,27 @@ CANDIDATE_CAP_ENV = "GAMMAH_FUZZY_CANDIDATE_CAP"
 
 @dataclass(frozen=True)
 class CrispSubset:
+    """A subset of the carrier as a bitmask: bit i set when element i is a member."""
+
     carrier: FiniteMonoid
-    members: tuple[bool, ...]
+    mask: int
 
     def __post_init__(self):
-        if len(self.members) != self.carrier.n:
-            raise ValueError("member vector does not match carrier size")
-
-    @property
-    def mask(self) -> int:
-        return sum(1 << i for i, m in enumerate(self.members) if m)
+        if not 0 <= self.mask < 1 << self.carrier.n:
+            raise ValueError("mask has members outside the carrier")
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.members) if m)
+        return tuple(i for i in range(self.carrier.n) if self.mask >> i & 1)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.carrier.elements[i] for i in self.indices())
 
     def size(self) -> int:
-        return sum(self.members)
+        return self.mask.bit_count()
 
 
 def crisp(carrier: FiniteMonoid, members: Iterable[int]) -> CrispSubset:
-    inside = _inside(carrier, members)
-    return CrispSubset(carrier, tuple(i in inside for i in range(carrier.n)))
-
-
-def crisp_from_mask(carrier: FiniteMonoid, mask: int) -> CrispSubset:
-    return CrispSubset(carrier, tuple(bool(mask >> i & 1) for i in range(carrier.n)))
+    return CrispSubset(carrier, sum(1 << i for i in _inside(carrier, members)))
 
 
 @dataclass(frozen=True)
@@ -209,7 +202,7 @@ def h_closure(ps: ProductStructure, a: CrispSubset | Iterable[int], sidedness: s
         a = crisp(mon, a)
     if a.carrier != mon:
         raise ValueError("subset lives on a different carrier")
-    return crisp_from_mask(mon, _closure_mask(ps, a.mask, sidedness))
+    return CrispSubset(mon, _closure_mask(ps, a.mask, sidedness))
 
 
 def enumerate_h_ideals(ps: ProductStructure, sidedness: str = TWO_SIDED) -> list[CrispSubset]:
@@ -247,7 +240,7 @@ def enumerate_h_ideals(ps: ProductStructure, sidedness: str = TWO_SIDED) -> list
                     if len(found) > DEFAULT_LATTICE_CAP:
                         raise CapacityError(f"h-ideal lattice grew beyond {DEFAULT_LATTICE_CAP}")
         worklist = fresh
-    ideals = [crisp_from_mask(mon, m) for m in found]
+    ideals = [CrispSubset(mon, m) for m in found]
     ideals.sort(key=lambda c: (c.size(), c.indices()))
     return ideals
 

@@ -86,13 +86,6 @@ def realize(g: GammaHemiring, f: FormalSum) -> ActionMap:
     return ActionMap(tuple(table))
 
 
-def rho_equivalent(g: GammaHemiring, f1: FormalSum, f2: FormalSum) -> bool:
-    """Congruent iff both sums act identically on every carrier element."""
-    if f1.side != f2.side:
-        raise ValueError("formal sums on different sides are never compared")
-    return realize(g, f1) == realize(g, f2)
-
-
 def formal_product(g: GammaHemiring, f1: FormalSum, f2: FormalSum) -> FormalSum:
     """Pairwise product of formal sums, matching the quotient multiplication."""
     if f1.side != f2.side:
@@ -234,12 +227,6 @@ def build_operator(g: GammaHemiring, side: str) -> OperatorHemiring:
                 if m.table[s.add[a][b]] != s.add[m.table[a]][m.table[b]]:
                     raise StructureError(f"map op{k} is not additive at ({a},{b})")
     return op
-
-
-def embed(g: GammaHemiring, op: OperatorHemiring, x: int, gamma: int) -> int:
-    """Index in the closure of the single-generator class [x,gamma] (or [gamma,x])."""
-    pair = (x, gamma) if op.side == LEFT else (gamma, x)
-    return op.index_of(realize(g, FormalSum(op.side, (pair,))))
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,33 @@ def h_equal(mon, lhs: int, rhs: int) -> bool:
     return any(add[lhs][z] == add[rhs][z] for z in range(mon.n))
 
 
+def equals(m1: FuzzySubset, m2: FuzzySubset) -> bool:
+    """Same values on the same carrier; a ValueError across carriers."""
+    if m1.carrier != m2.carrier:
+        raise ValueError("carrier mismatch")
+    return m1.values == m2.values
+
+
+def rho_equivalent(g: GammaHemiring, f1, f2) -> bool:
+    """Two formal sums are congruent iff they act identically on every
+    carrier element; sums on different sides are never compared."""
+    from gammah.operators import realize
+
+    if f1.side != f2.side:
+        raise ValueError("formal sums on different sides are never compared")
+    return realize(g, f1) == realize(g, f2)
+
+
+def embed(g: GammaHemiring, op, x: int, gamma: int) -> int:
+    """Index in the closure of the single-generator class [x,gamma] (left)
+    or [gamma,x] (right), by realizing the generator's map again.
+    build_operator records the same index in op.embed."""
+    from gammah.operators import FormalSum, realize
+
+    pair = (x, gamma) if op.side == "left" else (gamma, x)
+    return op.index_of(realize(g, FormalSum(op.side, (pair,))))
+
+
 def naive_generalized_h_product(
     ps: ProductStructure, mu: FuzzySubset, theta: FuzzySubset, max_terms: int | None = None
 ) -> FuzzySubset:
@@ -191,7 +218,7 @@ def crisp_h_ideal_loops(ps: ProductStructure, a, sidedness: str = "two-sided"):
     idx = a.indices()
     if not idx:
         return ideals.CheckResult(False, "nonempty", {})
-    if not a.members[mon.zero]:
+    if not a.mask >> mon.zero & 1:
         return ideals.CheckResult(False, "zero-membership", {"zero": lab[mon.zero]})
     mask = a.mask
     add = mon.add
@@ -489,6 +516,26 @@ def realized_mul_law(ctx):
     return None
 
 
+def axioms_with_operator_tables(ctx):
+    """S2-axioms with L and R validated again as tables: the action table's
+    first violation, else the first violation of validate_hemiring on L,
+    then on R.  Returns the witness, or None.  The check skips L and R,
+    since build_operator's proof makes them hemirings.
+    """
+    from gammah.core import validate_gamma_hemiring, validate_hemiring
+
+    rep = validate_gamma_hemiring(ctx.G)
+    if not rep.valid:
+        law, w = rep.violations[0]
+        return {"table": "action", "law": law, "witness": list(w)}
+    for tag, op in (("L", ctx.L), ("R", ctx.R)):
+        rep = validate_hemiring(op)
+        if not rep.valid:
+            law, w = rep.violations[0]
+            return {"table": tag, "law": law, "witness": list(w)}
+    return None
+
+
 def element_loop_axioms(g: GammaHemiring, violation_cap: int = 16):
     """Violations of axioms 1-6 in the order of an element-by-element scan,
     cut at violation_cap.  The carrier monoids are assumed valid.
@@ -610,8 +657,6 @@ def product_cut_quasi_closure(ps: ProductStructure, mask: int) -> int:
 
 def down_comprehension(tag: str, ctx, mu: FuzzySubset) -> FuzzySubset:
     """The down map as a min over every Gamma index of mu at embed(g, op, x, gamma)."""
-    from gammah.operators import embed
-
     g, op = ctx.G, ctx.L if tag == "L" else ctx.R
     values = tuple(
         min(mu.values[embed(g, op, x, ga)] for ga in range(g.Gamma.n)) for x in range(g.S.n)
@@ -639,7 +684,7 @@ def sum_closure_up(tag: str, ctx, q) -> tuple[bool, ...]:
             if more == sums:
                 break
             sums = more
-        out.append(all(q.members[v] for v in sums))
+        out.append(all(q.mask >> v & 1 for v in sums))
     return tuple(out)
 
 
@@ -787,7 +832,7 @@ def oplus_law_scan(members):
     witness, or None.  The monoid laws of S decide it for any fuzzy subsets;
     this scans what that proof lets the check skip.
     """
-    from gammah.fuzzy import equals, fuzzy_sum
+    from gammah.fuzzy import fuzzy_sum
 
     for a, b in itertools.combinations_with_replacement(members, 2):
         if not equals(fuzzy_sum(a, b), fuzzy_sum(b, a)):

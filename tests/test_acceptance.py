@@ -39,7 +39,6 @@ from gammah.correspondence import build_context
 from gammah.fuzzy import (
     FuzzySubset,
     cartesian,
-    equals,
     generalized_h_product,
     same_sum_rows,
     simple_h_product,
@@ -51,6 +50,7 @@ from oracles import (
     brute_fuzzy_family,
     brute_operator,
     closure_subsets_h_ideals,
+    equals,
     grid_subsets,
     naive_generalized_h_product,
     naive_is_fuzzy_h_ideal,

@@ -15,7 +15,6 @@ from gammah.fuzzy import (
     characteristic,
     constant,
     cut_mask,
-    equals,
     fuzzy_sum,
     generalized_h_product,
     intersect,
@@ -25,6 +24,7 @@ from gammah.fuzzy import (
     unit_rational,
 )
 from oracles import (
+    equals,
     grid_subsets,
     naive_generalized_h_product,
     naive_simple_h_product,

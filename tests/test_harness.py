@@ -15,7 +15,7 @@ import gammah.harness
 import gammah.ideals
 import gammah.operators
 from gammah import corpus
-from gammah.core import matrix_gamma_hemiring
+from gammah.core import GammaHemiring, matrix_gamma_hemiring, validate_hemiring
 from gammah.correspondence import build_context
 from gammah.fuzzy import FuzzySubset, cartesian, intersect, same_sum_rows, simple_h_product
 from gammah.harness import (
@@ -40,6 +40,7 @@ from gammah.ideals import (
     is_fuzzy_h_quasi_ideal,
 )
 from oracles import (
+    axioms_with_operator_tables,
     cartesian_inclusion_loop,
     complete_lattices_scan,
     gamma_subset_scan,
@@ -50,6 +51,7 @@ from oracles import (
 )
 from test_acceptance import corrupted_same_sum_rows
 from test_ideals import nil_cube
+from test_operators import UNITY_STRUCTURES
 
 GRID = ("0", "1/2", "1")
 
@@ -288,7 +290,7 @@ class TestFaultInjection:
         def corrupted(ctx, subset):
             out = honest(ctx, subset)
             if isinstance(out, CrispSubset):  # flip the last member
-                return CrispSubset(out.carrier, out.members[:-1] + (not out.members[-1],))
+                return CrispSubset(out.carrier, out.mask ^ 1 << out.carrier.n - 1)
             # flatten to the value at zero
             return FuzzySubset(out.carrier, (out.values[out.carrier.zero],) * out.carrier.n)
 
@@ -409,6 +411,33 @@ class TestSection2Proofs:
                 res = run_check(check_id, ctx, grid, fams)
                 expected = ("pass", None) if w is None else ("fail", w)
                 assert (res.status, res.witness) == expected, (g.name, check_id)
+
+    def test_axioms_fail_on_the_action_table(self):
+        # S = Gamma = Z2 with a gamma b = a.b for every gamma: build_context
+        # accepts it, but a(0+0)b = 1 differs from a0b + a0b = 0 at a = b = 1.
+        z2 = corpus.zmod(2)
+        action = tuple(tuple(tuple(a * b for b in range(2)) for _ in range(2)) for a in range(2))
+        ctx = build_context(GammaHemiring("Z2 times", z2.S, z2.Gamma, action))
+        res = run_check("S2-axioms", ctx, GRID)
+        assert res.status == "fail"
+        assert res.witness == {"table": "action", "law": "axiom-3", "witness": ["1", "0", "0", "1"]}
+
+    @pytest.mark.parametrize("flip", [(), ("left",)], ids=["honest", "left-flipped"])
+    def test_operators_are_hemirings_as_built(self, monkeypatch, flip):
+        """build_operator's proof makes L and R hemirings, under either
+        orientation of composition, so S2-axioms validates the action table
+        only; the oracle that validates L and R too gives its status and
+        witness."""
+        monkeypatch.setattr(gammah.operators, "_compose", _flipped_compose(flip))
+        for g in UNITY_STRUCTURES:
+            ctx = build_context(g)
+            for op in (ctx.L, ctx.R):
+                assert validate_hemiring(op).valid, (g.name, op.side)
+            ref = axioms_with_operator_tables(ctx)
+            res = run_check("S2-axioms", ctx, GRID)
+            assert (res.status, res.witness) == (
+                ("pass", None) if ref is None else ("fail", ref)
+            ), g.name
 
     def test_section2_builds_no_family(self, all_corpus, monkeypatch):
         calls = []

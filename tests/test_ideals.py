@@ -32,9 +32,9 @@ from gammah.ideals import (
     QUASI,
     SIDEDNESS,
     CheckResult,
+    CrispSubset,
     _closure_mask,
     crisp,
-    crisp_from_mask,
     enumerate_fuzzy_h_ideals,
     enumerate_h_ideals,
     h_closure,
@@ -178,7 +178,7 @@ class TestCrispIdeals:
             monkeypatch.setattr(gammah.ideals, "same_sum_rows", corrupted_same_sum_rows)
         ps = CARRIERS[carrier]
         for bits in range(1 << ps.carrier.n):
-            subset = crisp_from_mask(ps.carrier, bits)
+            subset = CrispSubset(ps.carrier, bits)
             for sid in SIDEDNESS:
                 got, want = is_h_ideal(ps, subset, sid), crisp_h_ideal_loops(ps, subset, sid)
                 assert got.holds == want.holds, (bits, sid)

@@ -17,14 +17,18 @@ from gammah.correspondence import build_context
 from gammah.operators import (
     FormalSum,
     build_operator,
-    embed,
     find_unity,
     formal_product,
     formal_sum_label,
     realize,
+)
+from oracles import (
+    brute_operator,
+    embed,
+    full_rescan_operator,
+    generator_scan_unity,
     rho_equivalent,
 )
-from oracles import brute_operator, full_rescan_operator, generator_scan_unity
 
 # Unities of every kind: strong on both sides, not strong on one side
 # (Mat(B,2x1) left, Mat(B,1x2) right), and none (Zero2, Zero3).
