@@ -23,7 +23,7 @@ from .core import (
     pair_product_structure,
     product_monoid,
 )
-from .fuzzy import FuzzySubset
+from .fuzzy import FuzzySubset, _ranks
 from .ideals import CrispSubset
 from .operators import (
     LEFT,
@@ -135,10 +135,10 @@ def _transfer(ctx: CorrespondenceContext, tag: str, direction: str):
     return "S", tag, [m.table for m in op.maps]
 
 
-def _mins(vals, rows) -> tuple:
-    """Output k is the min of vals over rows[k]."""
-    at = vals.__getitem__
-    return tuple([min(map(at, row)) for row in rows])
+def _mins(ranks, rows) -> list[int]:
+    """Output k is the min of ranks over rows[k]."""
+    at = ranks.__getitem__
+    return [min(map(at, row)) for row in rows]
 
 
 def _crisp_map(
@@ -165,7 +165,8 @@ def _fuzzy_map(
     Up: class of f -> min over s of mu(f(s))."""
     src, dst, rows = _transfer(ctx, tag, direction)
     _expect(mu, ctx.ps(src).carrier, src)
-    return FuzzySubset(ctx.ps(dst).carrier, _mins(mu.values, rows))
+    levels, (ranks,) = _ranks(mu)
+    return FuzzySubset(ctx.ps(dst).carrier, tuple(map(levels.__getitem__, _mins(ranks, rows))))
 
 
 def _product_map(
@@ -182,9 +183,10 @@ def _product_map(
     src, dst, rows = _transfer(ctx, tag, direction)
     base, out = ctx.ps(src).carrier, ctx.ps(dst).carrier
     _expect(phi, product_monoid(base, base), f"{src}x{src}")
-    n, vals, rows = base.n, phi.values, [set(row) for row in rows]
-    inner = {i: _mins(vals[i * n:(i + 1) * n], rows) for i in set().union(*rows)}
-    values = tuple(min(col) for ra in rows for col in zip(*[inner[i] for i in ra]))
+    levels, (ranks,) = _ranks(phi)
+    n, rows = base.n, [set(row) for row in rows]
+    inner = {i: _mins(ranks[i * n:(i + 1) * n], rows) for i in set().union(*rows)}
+    values = tuple(levels[min(col)] for ra in rows for col in zip(*[inner[i] for i in ra]))
     return FuzzySubset(product_monoid(out, out), values)
 
 

@@ -1,7 +1,11 @@
 """Fuzzy subsets over finite carriers with exact rational membership values.
 
 All values are `fractions.Fraction` restricted to [0,1]; no floating point
-enters anywhere, so the sup/inf identities checked elsewhere are exact
+enters anywhere.  The kernels compare int ranks, not Fractions: _ranks maps
+the inputs' distinct values, ascending, onto 0..k-1, an order isomorphism,
+so min, max and >= commute with it, and a result read back through its
+levels is the exact input object (or ZERO) that comparing the Fractions
+would pick.  So the sup/inf identities checked elsewhere are exact
 equalities of canonical rationals.
 """
 
@@ -74,6 +78,28 @@ def _require_same_carrier(m1: FuzzySubset, m2: FuzzySubset) -> None:
         )
 
 
+def _ranks(*subsets: FuzzySubset) -> tuple[list[Fraction], list[list[int]]]:
+    """The distinct values ascending, as input objects, and each subset's values as
+    ranks into them.  Values are deduplicated by id, so no Fraction is hashed."""
+    distinct = {id(v): v for m in subsets for v in m.values}
+    levels, rank_of = [], {}
+    for v in sorted(distinct.values()):
+        if not levels or v != levels[-1]:
+            levels.append(v)
+        rank_of[id(v)] = len(levels) - 1
+    return levels, [list(map(rank_of.__getitem__, map(id, m.values))) for m in subsets]
+
+
+def _cuts(ranks: Sequence[int], k: int) -> list[int]:
+    """cuts[r] = bitmask of the x with ranks[x] >= r, for r in 0..k."""
+    cuts = [0] * (k + 1)
+    for x, r in enumerate(ranks):
+        cuts[r] |= 1 << x
+    for r in range(k - 1, -1, -1):
+        cuts[r] |= cuts[r + 1]
+    return cuts
+
+
 def intersect(m1: FuzzySubset, m2: FuzzySubset) -> FuzzySubset:
     _require_same_carrier(m1, m2)
     return FuzzySubset(m1.carrier, tuple(map(min, m1.values, m2.values)))
@@ -92,31 +118,23 @@ def fuzzy_sum(m1: FuzzySubset, m2: FuzzySubset) -> FuzzySubset:
     """
     _require_same_carrier(m1, m2)
     mon = m1.carrier
-    best = [ZERO] * mon.n
-    for u in range(mon.n):
-        vu = m1.values[u]
-        row = mon.add[u]
-        for v in range(mon.n):
-            m = min(vu, m2.values[v])
-            t = row[v]
+    levels, (r1, r2) = _ranks(m1, m2)
+    # Rank 0 is the least value, a floor of every nonempty sup.
+    best = [0] * mon.n
+    for a, row in zip(r1, mon.add):
+        for t, b in zip(row, r2):
+            m = a if a < b else b
             if m > best[t]:
                 best[t] = m
-    return FuzzySubset(mon, tuple(best))
+    return FuzzySubset(mon, tuple(map(levels.__getitem__, best)))
 
 
 def cartesian(m1: FuzzySubset, m2: FuzzySubset) -> FuzzySubset:
     """(m1 x m2)(x,y) = min(m1(x), m2(y)) over the product carrier."""
     carrier = product_monoid(m1.carrier, m2.carrier)
-    values = tuple(min(a, b) for a in m1.values for b in m2.values)
+    levels, (r1, r2) = _ranks(m1, m2)
+    values = tuple(levels[a if a < b else b] for a in r1 for b in r2)
     return FuzzySubset(carrier, values)
-
-
-def cut_mask(mu: FuzzySubset, t: Fraction) -> int:
-    mask = 0
-    for i, v in enumerate(mu.values):
-        if v >= t:
-            mask |= 1 << i
-    return mask
 
 
 def _bits(mask: int):
@@ -211,10 +229,6 @@ def h_hull(add: Sequence[Sequence[int]], same: Sequence[int], pool: int, skip: i
     return hit
 
 
-def _thresholds(mu: FuzzySubset, theta: FuzzySubset) -> list[Fraction]:
-    return sorted({v for v in mu.values + theta.values if v > 0}, reverse=True)
-
-
 def _level_product(
     ps: ProductStructure,
     mu: FuzzySubset,
@@ -224,17 +238,20 @@ def _level_product(
     mon = ps.carrier
     same = same_sum_rows(mon)
     ppm = pair_product_masks(ps)
+    levels, (r1, r2) = _ranks(mu, theta)
+    cuts1, cuts2 = _cuts(r1, len(levels)), _cuts(r2, len(levels))
     out = [ZERO] * mon.n
     assigned = 0
     full = (1 << mon.n) - 1
-    for t in _thresholds(mu, theta):
-        base = product_mask(ppm, cut_mask(mu, t), cut_mask(theta, t))
+    # The thresholds are the positive levels, highest first.
+    for r in range(len(levels) - 1, 0 if levels[0] == 0 else -1, -1):
+        base = product_mask(ppm, cuts1[r], cuts2[r])
         if not base:
             continue
         pool = additive_closure_mask(mon, base) if close else base
         fresh = h_hull(mon.add, same, pool, assigned)
         for x in _bits(fresh):
-            out[x] = t
+            out[x] = levels[r]
         assigned |= fresh
         if assigned == full:
             break

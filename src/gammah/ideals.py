@@ -32,7 +32,9 @@ from .fuzzy import (
     ONE,
     ZERO,
     FuzzySubset,
+    _cuts,
     _inside,
+    _ranks,
     additive_closure_mask,
     characteristic,
     constant,
@@ -254,24 +256,22 @@ def _fuzzy_check(
     order, so witnesses are reproducible: nonempty; top at zero when asked;
     additive; the kind's own (left- then right-product at each (x, y, p) for
     a sidedness, product then sandwich for BI, the quasi-intersection for
-    QUASI); the h-condition.  Each compares values of mu, so their ranks in
-    mu's value chain decide it, as ints rather than Fractions; the
-    quasi-intersection alone compares Fractions, at n points, because the
-    h-products' values need not lie in that chain.
+    QUASI); the h-condition.  Each compares ranks of mu's values
+    (fuzzy._ranks), as ints; the quasi-intersection ranks the h-products'
+    values together with mu's, since those need not lie in mu's chain.
     """
     mon = ps.carrier
     lab = mon.elements
     if mu.carrier != mon:
         raise ValueError("fuzzy subset lives on a different carrier")
-    if all(v == 0 for v in mu.values):
+    levels, (vals,) = _ranks(mu)
+    if levels[-1] == 0:
         return _fail("nonempty")
     if require_top and mu.values[mon.zero] != ONE:
         return _fail("top-at-zero", {"zero": lab[mon.zero], "value": str(mu.values[mon.zero])})
     n = mon.n
     add = mon.add
     pp = ps.pair_products
-    rank = {v: i for i, v in enumerate(sorted(set(mu.values)))}
-    vals = [rank[v] for v in mu.values]
     for x in range(n):
         row = add[x]
         vx = vals[x]
@@ -312,8 +312,9 @@ def _fuzzy_check(
     else:
         chi = constant(mon, 1)
         both = intersect(generalized_h_product(ps, mu, chi), generalized_h_product(ps, chi, mu))
+        _, (lhs, rhs) = _ranks(both, mu)
         for x in range(n):
-            if both.values[x] > mu.values[x]:
+            if lhs[x] > rhs[x]:
                 return _fail(
                     "quasi-intersection",
                     {"x": lab[x], "lhs": str(both.values[x]), "mu": str(mu.values[x])},
@@ -321,8 +322,7 @@ def _fuzzy_check(
     # Cut formulation: no x below a positive rank r may be h-reachable from a
     # pair inside the cut at r; the cut at rank 0 is the whole carrier.
     same = same_sum_rows(mon)
-    for r in range(1, len(rank)):
-        cut = sum(1 << x for x in range(n) if vals[x] >= r)
+    for cut in _cuts(vals, len(levels))[1:-1]:
         if h_hull(add, same, cut, cut):
             witness = _h_witness(mon, lambda x, a, b: vals[x] < min(vals[a], vals[b]))
             return _fail("h-condition", witness)

@@ -877,3 +877,75 @@ def rescan_additive_closure(mon, mask: int) -> int:
                     closed |= bit
                     changed = True
     return closed
+
+
+# The Fraction loops the rank kernels replaced: each compares membership
+# values directly, the reference for fuzzy._ranks and the kernels on it.
+
+
+def fraction_fuzzy_sum(m1: FuzzySubset, m2: FuzzySubset) -> FuzzySubset:
+    """(m1 (+) m2)(x) = max over x = u+v of min(m1(u), m2(v)), from ZERO up."""
+    mon = m1.carrier
+    best = [ZERO] * mon.n
+    for u in range(mon.n):
+        vu = m1.values[u]
+        row = mon.add[u]
+        for v in range(mon.n):
+            m = min(vu, m2.values[v])
+            t = row[v]
+            if m > best[t]:
+                best[t] = m
+    return FuzzySubset(mon, tuple(best))
+
+
+def fraction_cartesian(m1: FuzzySubset, m2: FuzzySubset) -> FuzzySubset:
+    """(m1 x m2)(x,y) = min(m1(x), m2(y)) over the product carrier."""
+    from gammah.core import product_monoid
+
+    carrier = product_monoid(m1.carrier, m2.carrier)
+    return FuzzySubset(carrier, tuple(min(a, b) for a in m1.values for b in m2.values))
+
+
+def cut_mask(mu: FuzzySubset, t: Fraction) -> int:
+    """Bitmask of the level cut {x : mu(x) >= t}."""
+    mask = 0
+    for i, v in enumerate(mu.values):
+        if v >= t:
+            mask |= 1 << i
+    return mask
+
+
+def fraction_level_product(
+    ps: ProductStructure, mu: FuzzySubset, theta: FuzzySubset, close: bool
+) -> FuzzySubset:
+    """The h-product by level sets (generalized when close, else simple),
+    one cut_mask scan per positive value of mu or theta, highest first."""
+    from gammah.fuzzy import (
+        _bits,
+        additive_closure_mask,
+        h_hull,
+        pair_product_masks,
+        product_mask,
+        same_sum_rows,
+    )
+
+    mon = ps.carrier
+    same = same_sum_rows(mon)
+    ppm = pair_product_masks(ps)
+    out = [ZERO] * mon.n
+    assigned = 0
+    for t in sorted({v for v in mu.values + theta.values if v > 0}, reverse=True):
+        base = product_mask(ppm, cut_mask(mu, t), cut_mask(theta, t))
+        if not base:
+            continue
+        pool = additive_closure_mask(mon, base) if close else base
+        fresh = h_hull(mon.add, same, pool, assigned)
+        for x in _bits(fresh):
+            out[x] = t
+        assigned |= fresh
+    return FuzzySubset(mon, tuple(out))
+
+
+def fraction_mins(vals, rows) -> tuple:
+    """Output k is the min of the Fraction values over rows[k]."""
+    return tuple(min(vals[i] for i in row) for row in rows)

@@ -1,11 +1,12 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammah import corpus
+from gammah import corpus, correspondence, fuzzy
 from gammah.core import as_product_structure, product_monoid
 from gammah.correspondence import build_context
 from gammah.fuzzy import (
@@ -14,7 +15,6 @@ from gammah.fuzzy import (
     cartesian,
     characteristic,
     constant,
-    cut_mask,
     fuzzy_sum,
     generalized_h_product,
     intersect,
@@ -23,11 +23,20 @@ from gammah.fuzzy import (
     simple_h_product,
     unit_rational,
 )
+from gammah.ideals import BI, QUASI, SIDEDNESS, _fuzzy_check, h_closure, is_fuzzy_h_ideal
 from oracles import (
+    cut_mask,
+    element_loop_fuzzy_check,
     equals,
+    fraction_cartesian,
+    fraction_fuzzy_sum,
+    fraction_level_product,
+    fraction_mins,
     grid_subsets,
     naive_generalized_h_product,
     naive_simple_h_product,
+    product_down_comprehension,
+    product_up_comprehension,
     rescan_additive_closure,
 )
 
@@ -231,3 +240,115 @@ def test_additive_closure_equals_rescan(g):
             assert additive_closure_mask(mon, mask) == rescan_additive_closure(mon, mask), (
                 which, mask
             )
+
+
+# S, L, R and SxS of the corpus, and of Z1, whose carriers have one element.
+RANK_CONTEXTS = [build_context(g) for g in corpus.standard_corpus() + [corpus.zmod(1)]]
+RANK_CARRIERS = [(ctx, which) for ctx in RANK_CONTEXTS for which in ("S", "L", "R", "SxS")]
+# The grid 0, 1/3, 1/2, 2/3, 1 with the off-grid v/2 and (1+v)/2 of each.
+OFF_GRID = sorted(
+    {w for v in map(Fraction, ("0", "1/3", "1/2", "2/3", "1")) for w in (v, v / 2, (1 + v) / 2)}
+)
+
+
+@st.composite
+def rank_subsets(draw, carrier):
+    """Values from OFF_GRID, some held by fresh objects equal to a pool value;
+    a third of the draws have no 0 value and a sixth are all 0."""
+    mode = draw(st.sampled_from(("any", "any", "any", "positive", "positive", "zero")))
+    pool = {"any": OFF_GRID, "positive": OFF_GRID[1:], "zero": OFF_GRID[:1]}[mode]
+    values = []
+    for _ in range(carrier.n):
+        v = draw(st.sampled_from(pool))
+        values.append(Fraction(v.numerator, v.denominator) if draw(st.booleans()) else v)
+    return FuzzySubset(carrier, tuple(values))
+
+
+def assert_same_output(out, want, *inputs):
+    """Equal values that print alike, each an input object or ZERO."""
+    assert out.carrier == want.carrier
+    assert out.values == want.values
+    assert list(map(str, out.values)) == list(map(str, want.values))
+    held = {id(v) for m in inputs for v in m.values} | {id(fuzzy.ZERO)}
+    assert all(id(v) in held for v in out.values)
+
+
+class TestRankKernels:
+    """Each kernel on ranks against the Fraction loop it replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_sum_cartesian_and_h_products(self, data):
+        ctx, which = data.draw(st.sampled_from(RANK_CARRIERS))
+        ps = ctx.ps(which)
+        mu, theta = data.draw(rank_subsets(ps.carrier)), data.draw(rank_subsets(ps.carrier))
+        assert_same_output(fuzzy_sum(mu, theta), fraction_fuzzy_sum(mu, theta), mu, theta)
+        if which != "SxS":  # SxS x SxS has |S|^8 addition cells
+            assert_same_output(cartesian(mu, theta), fraction_cartesian(mu, theta), mu, theta)
+        for product, close in ((generalized_h_product, True), (simple_h_product, False)):
+            want = fraction_level_product(ps, mu, theta, close)
+            assert_same_output(product(ps, mu, theta), want, mu, theta)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_checker(self, data):
+        ctx, which = data.draw(st.sampled_from(RANK_CARRIERS))
+        ps = ctx.ps(which)
+        mu = data.draw(rank_subsets(ps.carrier))
+        variants = [*itertools.product(SIDEDNESS, (False, True)), (BI, False), (QUASI, False)]
+        for kind, top in variants:
+            want = element_loop_fuzzy_check(ps, mu, kind, top)
+            assert _fuzzy_check(ps, mu, kind, top) == want, (kind, top)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_transfer_maps(self, data):
+        ctx = data.draw(st.sampled_from(RANK_CONTEXTS))
+        tag = data.draw(st.sampled_from(("L", "R")))
+        direction = data.draw(st.sampled_from((correspondence.UP, correspondence.DOWN)))
+        src, dst, rows = correspondence._transfer(ctx, tag, direction)
+        mu = data.draw(rank_subsets(ctx.ps(src).carrier))
+        want = FuzzySubset(ctx.ps(dst).carrier, fraction_mins(mu.values, rows))
+        assert_same_output(correspondence._fuzzy_map(tag, direction, ctx, mu), want, mu)
+        base = ctx.ps(src).carrier
+        phi = data.draw(rank_subsets(product_monoid(base, base)))
+        up = direction == correspondence.UP
+        want = (product_up_comprehension if up else product_down_comprehension)(tag, ctx, phi)
+        assert_same_output(correspondence._product_map(tag, direction, ctx, phi), want, phi)
+
+
+class Counted(Fraction):
+    """A Fraction that counts its comparisons and hashes in Counted.calls."""
+
+    calls: Counter = Counter()
+
+    def _count(name):
+        def method(self, other=None):
+            Counted.calls[name] += 1
+            base = getattr(Fraction, name)
+            return base(self) if other is None else base(self, other)
+
+        return method
+
+    __lt__, __le__, __gt__, __ge__, __eq__, __hash__ = map(
+        _count, ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__hash__")
+    )
+
+
+def test_kernels_compare_few_values():
+    """On Z16's S with 3 distinct levels, each kernel compares a handful of
+    values and hashes none; the Fraction loops made 512 calls (fuzzy_sum),
+    105 (generalized_h_product) and 40, 35 of them hashes (is_fuzzy_h_ideal)."""
+    ps = build_context(corpus.zmod(16)).s_ps
+    one, half, zero = Counted(1), Counted(1, 2), Counted(0)
+    top, mid = h_closure(ps, [0]).mask, h_closure(ps, [4]).mask
+    mu = FuzzySubset(ps.carrier, tuple(
+        one if top >> x & 1 else half if mid >> x & 1 else zero for x in range(ps.carrier.n)
+    ))
+    assert 0 < mid.bit_count() < ps.carrier.n and is_fuzzy_h_ideal(ps, mu).holds
+    for kernel in (lambda: fuzzy_sum(mu, mu), lambda: generalized_h_product(ps, mu, mu),
+                   lambda: is_fuzzy_h_ideal(ps, mu)):
+        Counted.calls.clear()
+        kernel()
+        assert sum(Counted.calls.values()) <= 64, Counted.calls
+        assert Counted.calls["__hash__"] == 0

@@ -23,7 +23,6 @@ from gammah.fuzzy import (
     additive_closure_mask,
     characteristic,
     constant,
-    cut_mask,
     intersect,
     make_fuzzy,
 )
@@ -50,6 +49,7 @@ from oracles import (
     brute_h_ideals,
     closure_subsets_h_ideals,
     crisp_h_ideal_loops,
+    cut_mask,
     direct_filter,
     element_loop_fuzzy_check,
     pair_scan_prime_like,
