@@ -37,10 +37,7 @@ from .fuzzy import (
     _ranks,
     additive_closure_mask,
     characteristic,
-    constant,
-    generalized_h_product,
     h_hull,
-    intersect,
     same_sum_rows,
     is_subset,
     pair_product_masks,
@@ -152,30 +149,47 @@ def is_h_ideal(ps: ProductStructure, a: CrispSubset, sidedness: str = TWO_SIDED)
     return _fuzzy_check(ps, characteristic(a.carrier, a.indices()), sidedness, require_top=True)
 
 
+def _quasi_hull(ps: ProductStructure, mask: int, skip: int = 0) -> int:
+    """The quasi rule: hull(A.S) & hull(S.A) outside skip, for A = mask.
+
+    hull(P) is h_hull of the additive closure of P, and hull(S.A) is scanned
+    only where hull(A.S) holds.  By the level-subset theorem (Das 1981) and
+    the h-hull lemma (Zhan and Dudek 2007), hull(mu_t.S) is the t-cut of
+    generalized_h_product(mu, 1): at threshold t that product closes the
+    pair products of mu_t with S under +, takes their h_hull, and keeps at x
+    the largest t whose hull holds x; the hulls fall as t rises.  Likewise
+    hull(S.mu_t) is the t-cut of (1, mu), so _quasi_hull(mu_t) is the t-cut
+    of their meet, the left side of the fuzzy quasi condition.  Reads this
+    module's same_sum_rows on each call, as every scan here does.
+    """
+    mon = ps.carrier
+    ppm = pair_product_masks(ps)
+    same = same_sum_rows(mon)
+    full = (1 << mon.n) - 1
+    hull_as = h_hull(mon.add, same, additive_closure_mask(mon, product_mask(ppm, mask, full)), skip)
+    return hull_as and h_hull(
+        mon.add, same, additive_closure_mask(mon, product_mask(ppm, full, mask)), full ^ hull_as
+    )
+
+
 def _closure_mask(ps: ProductStructure, mask: int, kind: str) -> int:
     """Least closed set of a kind (a sidedness, BI or QUASI) containing mask.
 
     A is closed when A + A lies in A, h_hull(A) lies in A (x + a + z == b + z
     with a, b in A puts x in A), and by kind: zero in A and S.A (left), A.S
     (right) or both in A, the crisp h-ideals; A.A and (A.S).A in A (BI);
-    hull(A.S) & hull(S.A) in A (QUASI), where hull(P) = h_hull of the
-    additive closure of P, the 1-cut of generalized_h_product(chi_A, 1) and
-    of (1, chi_A).  Each rule r is monotone, so iterating A |= r(A) reaches
-    the least closed superset, and the closed sets form a Moore family: S is
-    closed, and for closed A, B each r(A & B) lies in r(A) & r(B), within
-    A & B.  For QUASI: hull((A&B).S) & hull(S.(A&B)) lies in hull(A.S) &
-    hull(S.A), within A.  Nonempty closed sets hold zero (0 + a + 0 == a + 0);
-    the empty set is closed for BI and QUASI only.
+    _quasi_hull(A) in A (QUASI).  Each rule r is monotone, so iterating
+    A |= r(A) reaches the least closed superset, and the closed sets form a
+    Moore family: S is closed, and for closed A, B each r(A & B) lies in
+    r(A) & r(B), within A & B.  For QUASI: hull((A&B).S) & hull(S.(A&B))
+    lies in hull(A.S) & hull(S.A), within A.  Nonempty closed sets hold zero
+    (0 + a + 0 == a + 0); the empty set is closed for BI and QUASI only.
     """
     mon = ps.carrier
     add = mon.add
     same = same_sum_rows(mon)
     ppm = pair_product_masks(ps)
     full = (1 << mon.n) - 1
-
-    def hull(pool: int) -> int:
-        return h_hull(add, same, additive_closure_mask(mon, pool))
-
     if kind in SIDEDNESS:
         mask |= 1 << mon.zero
     while True:
@@ -189,7 +203,7 @@ def _closure_mask(ps: ProductStructure, mask: int, kind: str) -> int:
             out |= product_mask(ppm, mask, mask)
             out |= product_mask(ppm, product_mask(ppm, mask, full), mask)
         if kind == QUASI:
-            out |= hull(product_mask(ppm, mask, full)) & hull(product_mask(ppm, full, mask))
+            out |= _quasi_hull(ps, mask, out)
         out |= h_hull(add, same, mask, out)
         if out == mask:
             return mask
@@ -211,27 +225,27 @@ def enumerate_h_ideals(ps: ProductStructure, sidedness: str = TWO_SIDED) -> list
     """All sided h-ideals, or with sidedness BI or QUASI all nonempty closed sets.
 
     Closed sets form a Moore family (_closure_mask), so each is the join of
-    the principal closures of its elements: closing the principals under
-    pairwise join enumerates the lattice without walking 2^n subsets; more
-    than DEFAULT_LATTICE_CAP closed sets raise CapacityError.  Nothing is
-    re-checked: _closure_mask returns a set only when no rule adds to it, the
-    rules of each kind are its crisp membership conditions, and by the one-cut
-    case of the level-subset theorem those are the kind's fuzzy checker on the
-    characteristic function.  Sorted by size, then lexicographically.
+    the principal closures of its elements: joining each new closed set with
+    every principal enumerates the lattice without walking 2^n subsets, since
+    cl(cl(A) | B) = cl(A | B); more than DEFAULT_LATTICE_CAP closed sets
+    raise CapacityError.  Nothing is re-checked: _closure_mask returns a set
+    only when no rule adds to it, the rules of each kind are its crisp
+    membership conditions, and by the one-cut case of the level-subset
+    theorem those are the kind's fuzzy checker on the characteristic
+    function.  Sorted by size, then lexicographically.
     """
     _require_kind(sidedness)
     mon = ps.carrier
     limit = _cap(CARRIER_CAP_ENV, DEFAULT_CARRIER_CAP)
     if mon.n > limit:
         raise CapacityError(f"carrier size {mon.n} above enumeration cap {limit}")
-    found: set[int] = set()
-    for i in range(mon.n):
-        found.add(_closure_mask(ps, 1 << i, sidedness))
+    principals = {_closure_mask(ps, 1 << i, sidedness) for i in range(mon.n)}
+    found = set(principals)
     worklist = list(found)
     while worklist:
         fresh: list[int] = []
         for m1 in worklist:
-            for m2 in list(found):
+            for m2 in principals:
                 joined = m1 | m2
                 if joined in found:
                     continue
@@ -257,8 +271,10 @@ def _fuzzy_check(
     additive; the kind's own (left- then right-product at each (x, y, p) for
     a sidedness, product then sandwich for BI, the quasi-intersection for
     QUASI); the h-condition.  Each compares ranks of mu's values
-    (fuzzy._ranks), as ints; the quasi-intersection ranks the h-products'
-    values together with mu's, since those need not lie in mu's chain.
+    (fuzzy._ranks), as ints.  The quasi-intersection is read on mu's cuts:
+    its left side is at least t exactly on _quasi_hull(mu_t), so x fails
+    exactly when it lies in the quasi hull of a positive cut that misses it,
+    and its left side is the value of the highest such cut.
     """
     mon = ps.carrier
     lab = mon.elements
@@ -272,6 +288,7 @@ def _fuzzy_check(
     n = mon.n
     add = mon.add
     pp = ps.pair_products
+    cuts = _cuts(vals, len(levels))
     for x in range(n):
         row = add[x]
         vx = vals[x]
@@ -310,19 +327,24 @@ def _fuzzy_check(
                                     {"x": lab[x], "y": lab[y], "z": lab[z], "xyz": lab[q]},
                                 )
     else:
-        chi = constant(mon, 1)
-        both = intersect(generalized_h_product(ps, mu, chi), generalized_h_product(ps, chi, mu))
-        _, (lhs, rhs) = _ranks(both, mu)
-        for x in range(n):
-            if lhs[x] > rhs[x]:
-                return _fail(
-                    "quasi-intersection",
-                    {"x": lab[x], "lhs": str(both.values[x]), "mu": str(mu.values[x])},
-                )
+        # The cuts from the top, skipping the points at or past the first
+        # failure so far: a point found at a cut is the new first failure,
+        # and that cut is the highest whose quasi hull holds it.  The cut at
+        # rank 0 is the whole carrier, which no quasi hull leaves.
+        first, full = n, cuts[0]
+        for r in range(len(levels) - 1, 0, -1):
+            fresh = _quasi_hull(ps, cuts[r], cuts[r] | full >> first << first)
+            if fresh:
+                first, rank = (fresh & -fresh).bit_length() - 1, r
+        if first < n:
+            return _fail(
+                "quasi-intersection",
+                {"x": lab[first], "lhs": str(levels[rank]), "mu": str(mu.values[first])},
+            )
     # Cut formulation: no x below a positive rank r may be h-reachable from a
     # pair inside the cut at r; the cut at rank 0 is the whole carrier.
     same = same_sum_rows(mon)
-    for cut in _cuts(vals, len(levels))[1:-1]:
+    for cut in cuts[1:-1]:
         if h_hull(add, same, cut, cut):
             witness = _h_witness(mon, lambda x, a, b: vals[x] < min(vals[a], vals[b]))
             return _fail("h-condition", witness)

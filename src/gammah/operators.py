@@ -152,8 +152,14 @@ def build_operator(g: GammaHemiring, side: str) -> OperatorHemiring:
     each pair's result is its cell of the `add` and `mul` tables.
 
     The result is a hemiring without a check of its tables.  S is validated
-    as a commutative monoid up front, and every map is checked to fix zero
-    and to be additive.  Such maps form a hemiring under pointwise + and
+    as a commutative monoid up front, and each generator map is checked to
+    fix zero and to be additive before any sum or product is formed.  That
+    covers every map of the closure: (f+g)(a+b) = f(a)+f(b)+g(a)+g(b) =
+    (f+g)(a) + (f+g)(b) since + on S commutes and associates, and (f+g)(0) =
+    0 + 0 = 0; a composite of two such maps, in either orientation, is such
+    a map.  The generators are admitted first, as op0, op1, ..., so a scan
+    of every map in index order would stop at the same generator with the
+    same message.  Such maps form a hemiring under pointwise + and
     composition f.g = f(g(-)): + inherits commutativity and associativity
     from S; composition is associative; (f+g).h = f.h + g.h holds pointwise;
     f.(g+h) = f.g + f.h and f.0 = 0 hold because f is additive and fixes
@@ -187,6 +193,13 @@ def build_operator(g: GammaHemiring, side: str) -> OperatorHemiring:
         return admit(realize(g, f), lambda: f)
 
     embed = tuple(tuple(generator(x, ga) for ga in range(g.Gamma.n)) for x in range(s.n))
+    for k, m in enumerate(maps):
+        if m.table[s.zero] != s.zero:
+            raise StructureError(f"map op{k} does not fix zero")
+        for a in range(s.n):
+            for b in range(s.n):
+                if m.table[s.add[a][b]] != s.add[m.table[a]][m.table[b]]:
+                    raise StructureError(f"map op{k} is not additive at ({a},{b})")
 
     # add_rows[i] and mul_rows[i] hold the tabled results of map i with maps
     # 0..len-1; a round extends every row to the maps that existed when it
@@ -213,20 +226,12 @@ def build_operator(g: GammaHemiring, side: str) -> OperatorHemiring:
                 ))
 
     zero = index[tuple(s.zero for _ in range(s.n))]
-    op = OperatorHemiring(
+    return OperatorHemiring(
         tuple(f"op{k}" for k in range(len(maps))), zero,
         tuple(map(tuple, add_rows)), tuple(map(tuple, mul_rows)),
         f"{'L' if side == LEFT else 'R'}({g.name})",
         side=side, structure=g.name, maps=tuple(maps), provenance=tuple(prov), embed=embed,
     )
-    for k, m in enumerate(maps):
-        if m.table[s.zero] != s.zero:
-            raise StructureError(f"map op{k} does not fix zero")
-        for a in range(s.n):
-            for b in range(s.n):
-                if m.table[s.add[a][b]] != s.add[m.table[a]][m.table[b]]:
-                    raise StructureError(f"map op{k} is not additive at ({a},{b})")
-    return op
 
 
 @dataclass(frozen=True)

@@ -202,6 +202,32 @@ def closure_subsets_h_ideals(ps: ProductStructure) -> list[tuple[int, ...]]:
     return sorted(seen, key=lambda t: (len(t), t))
 
 
+def all_pairs_h_ideals(ps: ProductStructure, kind: str = "two-sided") -> list[tuple[int, ...]]:
+    """The closed sets of a kind by the former lattice walk: the principal
+    closures, then the closure of the union of every pair of closed sets
+    found, until no pair adds one.  Uses the library closure; sorted by
+    size, then lexicographically.
+    """
+    from gammah.ideals import _closure_mask
+
+    n = ps.carrier.n
+    found = {_closure_mask(ps, 1 << i, kind) for i in range(n)}
+    worklist = list(found)
+    while worklist:
+        fresh = []
+        for m1 in worklist:
+            for m2 in list(found):
+                if m1 | m2 in found:
+                    continue
+                joined = _closure_mask(ps, m1 | m2, kind)
+                if joined not in found:
+                    found.add(joined)
+                    fresh.append(joined)
+        worklist = fresh
+    out = [tuple(i for i in range(n) if m >> i & 1) for m in found]
+    return sorted(out, key=lambda t: (len(t), t))
+
+
 def crisp_h_ideal_loops(ps: ProductStructure, a, sidedness: str = "two-sided"):
     """The crisp checker as its own loops: zero-membership, add-closed, the
     left- then right-absorbing rule over pair_product_masks, the h-condition.
@@ -446,6 +472,48 @@ def full_rescan_operator(g: GammaHemiring, side: str):
     mul_table = tuple(tuple(index[times(maps[i], maps[j])] for j in range(n)) for i in range(n))
     zero = index[tuple(g.S.zero for _ in range(g.S.n))]
     return maps, prov, add_table, mul_table, zero
+
+
+def all_maps_post_check(g: GammaHemiring, side: str) -> str | None:
+    """The message of the first map of the operator closure that does not fix
+    zero or is not additive, checking every map; None when all are.
+
+    The maps are labelled op<k> in admission order: the generators first, in
+    (x, gamma) order, then each map's sums and composites (both orders) with
+    the maps before it and itself, until nothing new appears.
+    """
+    from gammah.operators import FormalSum, realize
+
+    s = g.S
+    add = s.add
+    maps = []
+    for x in range(s.n):
+        for ga in range(g.Gamma.n):
+            table = realize(g, FormalSum(side, ((x, ga) if side == "left" else (ga, x),))).table
+            if table not in maps:
+                maps.append(table)
+    seen = set(maps)
+    i = 0
+    while i < len(maps):
+        for j in range(i + 1):
+            f, h = maps[i], maps[j]
+            for table in (
+                tuple(add[a][b] for a, b in zip(f, h)),
+                tuple(f[v] for v in h),
+                tuple(h[v] for v in f),
+            ):
+                if table not in seen:
+                    seen.add(table)
+                    maps.append(table)
+        i += 1
+    for k, m in enumerate(maps):
+        if m[s.zero] != s.zero:
+            return f"map op{k} does not fix zero"
+        for a in range(s.n):
+            for b in range(s.n):
+                if m[add[a][b]] != add[m[a]][m[b]]:
+                    return f"map op{k} is not additive at ({a},{b})"
+    return None
 
 
 def short_sums_mul_law(ctx):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 from functools import partial
@@ -45,6 +46,7 @@ from gammah.ideals import (
     is_semiprime_fuzzy_h_ideal,
 )
 from oracles import (
+    all_pairs_h_ideals,
     brute_fuzzy_family,
     brute_h_ideals,
     closure_subsets_h_ideals,
@@ -93,6 +95,32 @@ MATRIX_RING = "Mat(Z2,2x1)-L"
 def matrix_ring_left():
     """L of Mat(Z2,2x1): the 2x2 matrices over Z2, a noncommutative ring."""
     return build_context(matrix_gamma_hemiring(corpus.zmod_hemiring(2), 2, 1)).l_ps
+
+
+# The lattice walk is compared on S, L, R and SxS of the corpus, Z5, UT2(Z2)
+# and Nil, and on L of Mat(Z3,2x1) (81 elements).
+_JOINED = corpus.standard_corpus() + [corpus.zmod(5), corpus.upper_triangular(), nil_cube()]
+_MAT_Z3 = matrix_gamma_hemiring(corpus.zmod_hemiring(3), 2, 1)
+JOIN_STRUCTURES = {g.name: g for g in _JOINED + [_MAT_Z3]}
+JOIN_CARRIERS = [(g.name, which) for g in _JOINED for which in ("S", "L", "R", "SxS")]
+JOIN_CARRIERS.append((_MAT_Z3.name, "L"))
+
+
+@functools.cache
+def join_context(name):
+    return build_context(JOIN_STRUCTURES[name])
+
+
+def use_skip_z(mp):
+    """Patch the skip-z relation where gammah.fuzzy and gammah.ideals read it."""
+    mp.setattr(gammah.fuzzy, "same_sum_rows", corrupted_same_sum_rows)
+    mp.setattr(gammah.ideals, "same_sum_rows", corrupted_same_sum_rows)
+
+
+# The SxS carriers above with at most 16 elements: those of the corpus and Nil.
+PAIR_CARRIERS = {
+    f"{name}-SxS": join_context(name).sxs_ps for name, g in JOIN_STRUCTURES.items() if g.S.n <= 4
+}
 
 
 DIRECT_LIMIT = 6 * 10**5
@@ -301,6 +329,20 @@ class TestEnumerateHIdeals:
         got = [c.indices() for c in enumerate_h_ideals(ps, kind)]
         assert got == checker_lattice(ps, kind)
 
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["honest", "skip-z"])
+    @pytest.mark.parametrize("name,which", JOIN_CARRIERS)
+    def test_principal_joins_match_all_pairs(self, monkeypatch, name, which, corrupt):
+        # Joining each new closed set with the principals alone lists the
+        # lattice that joining every pair of closed sets lists.  The cap is
+        # raised for L of Mat(Z3,2x1); every other carrier is within 64.
+        monkeypatch.setenv("GAMMAH_IDEAL_CARRIER_CAP", "100")
+        ps = join_context(name).ps(which)
+        if corrupt:
+            use_skip_z(monkeypatch)
+        for kind in KINDS:
+            got = [c.indices() for c in enumerate_h_ideals(ps, kind)]
+            assert got == all_pairs_h_ideals(ps, kind), kind
+
     def test_no_checker_call(self, monkeypatch):
         calls = []
         for name in ("is_h_ideal", "is_fuzzy_h_bi_ideal", "is_fuzzy_h_quasi_ideal"):
@@ -434,6 +476,21 @@ class TestBiAndQuasi:
     def test_bi_ideal_without_top(self, ps_z2):
         mu = make_fuzzy(ps_z2.carrier, ["1/2", "0"])
         assert is_fuzzy_h_bi_ideal(ps_z2, mu).holds
+
+    def test_quasi_check_builds_no_h_product(self, monkeypatch, ps_z4, ps_b):
+        # The quasi-intersection is read on mu's cuts, not off h-products.
+        calls = []
+        level_product = gammah.fuzzy._level_product
+
+        def counted(*args):
+            calls.append(args)
+            return level_product(*args)
+
+        monkeypatch.setattr(gammah.fuzzy, "_level_product", counted)
+        assert is_fuzzy_h_quasi_ideal(ps_z4, make_fuzzy(ps_z4.carrier, ["1", "1/3", "2/3", "1/3"])).holds
+        res = is_fuzzy_h_quasi_ideal(ps_b, characteristic(ps_b.carrier, [0]))
+        assert res.condition == "quasi-intersection"
+        assert calls == []
 
 
 class TestFamilies:
@@ -640,13 +697,14 @@ VARIANTS = [(side, top) for side in KINDS[:3] for top in (False, True)] + [(BI, 
 
 
 @st.composite
-def checker_inputs(draw):
-    """A carrier and a fuzzy subset on it: random values k/12, or a chain of
-    h_closures of a kind with descending values k/12 (often from 1 down);
-    then perhaps moved off the twelfths by v -> v/2 or v -> (1+v)/2, at
-    every point or at one."""
-    carrier = draw(st.sampled_from(WITNESS_CARRIERS))
-    ps = CARRIERS[carrier]
+def checker_inputs(draw, carriers=None):
+    """A carrier (by default one of WITNESS_CARRIERS) and a fuzzy subset on
+    it: random values k/12, or a chain of h_closures of a kind with
+    descending values k/12 (often from 1 down); then perhaps moved off the
+    twelfths by v -> v/2 or v -> (1+v)/2, at every point or at one."""
+    carriers = carriers or {k: CARRIERS[k] for k in WITNESS_CARRIERS}
+    carrier = draw(st.sampled_from(sorted(carriers)))
+    ps = carriers[carrier]
     n = ps.carrier.n
     twelfths = st.integers(0, 12).map(lambda k: Fraction(k, 12))
     if draw(st.booleans()):
@@ -674,6 +732,34 @@ def checker_inputs(draw):
     return carrier, make_fuzzy(ps.carrier, values)
 
 
+# The quasi checker's carriers: those above, the pair carriers, and L of
+# Mat(Z2,2x1) and the carriers of UT2(Z2), where A.S and S.A differ.
+QUASI_CARRIERS = {
+    **{k: CARRIERS[k] for k in WITNESS_CARRIERS},
+    **PAIR_CARRIERS,
+    MATRIX_RING: matrix_ring_left(),
+    **{f"UT2(Z2)-{which}": join_context("UT2(Z2)").ps(which) for which in ("S", "L", "R")},
+}
+
+
+@st.composite
+def additive_chains(draw):
+    """A carrier of QUASI_CARRIERS and a fuzzy subset whose positive cuts are
+    additively closed, so the quasi-intersection decides before the
+    h-condition: values k/12 falling over growing additive closures, then
+    perhaps all moved off the twelfths by v -> v/2."""
+    carrier = draw(st.sampled_from(sorted(QUASI_CARRIERS)))
+    mon = QUASI_CARRIERS[carrier].carrier
+    values = [Fraction(0)] * mon.n
+    cut = 0
+    for k in sorted(set(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))), reverse=True):
+        cut = additive_closure_mask(mon, cut | 1 << draw(st.integers(0, mon.n - 1)))
+        values = [Fraction(k, 12) if cut >> x & 1 and not v else v for x, v in enumerate(values)]
+    if draw(st.booleans()):
+        values = [v / 2 for v in values]
+    return carrier, make_fuzzy(mon, values)
+
+
 class TestCheckerWitnesses:
     """One checker body decides all five kinds on ranks of mu's values."""
 
@@ -691,3 +777,29 @@ class TestCheckerWitnesses:
             assert (got.holds, got.condition, got.witness) == (
                 want.holds, want.condition, want.witness
             ), (carrier, kind, top)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        case=st.one_of(checker_inputs(QUASI_CARRIERS), additive_chains()),
+        corrupt=st.booleans(),
+    )
+    def test_quasi_matches_element_loops_on_more_inputs(self, case, corrupt):
+        # Also on pair and noncommutative carriers, and under the skip-z
+        # relation, patched where both the checker and the library's
+        # h-products read it.  The element loops scan the h-condition over z
+        # and ignore the relation, so under skip-z an h-condition failure
+        # reads as a pass on both sides.
+        carrier, mu = case
+        ps = QUASI_CARRIERS[carrier]
+        with pytest.MonkeyPatch.context() as mp:
+            if corrupt:
+                use_skip_z(mp)
+            got = is_fuzzy_h_quasi_ideal(ps, mu)
+            want = element_loop_fuzzy_check(ps, mu, QUASI)
+
+        def verdict(res):
+            if corrupt and res.condition == "h-condition":
+                return True, None, None
+            return res.holds, res.condition, res.witness
+
+        assert verdict(got) == verdict(want), carrier

@@ -23,6 +23,7 @@ from gammah.operators import (
     realize,
 )
 from oracles import (
+    all_maps_post_check,
     brute_operator,
     embed,
     full_rescan_operator,
@@ -183,6 +184,29 @@ class TestBuildOperator:
         g = GammaHemiring("Z3-squared", z3.S, z3.Gamma, tuple(tuple(map(tuple, p)) for p in act))
         with pytest.raises(StructureError):
             build_operator(g, "left")
+
+    @pytest.mark.parametrize("g", [corpus.zmod(3), corpus.boolean_matrix_2x1()], ids=lambda g: g.name)
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_generator_check_matches_all_maps(self, g, side):
+        # Each single-cell corruption of the action table: checking the
+        # generators raises what checking every map of the closure raises.
+        n, verdicts = g.S.n, set()
+        for x, ga, a in itertools.product(range(n), range(g.Gamma.n), range(n)):
+            for v in range(n):
+                if v == g.action[x][ga][a]:
+                    continue
+                act = [[list(row) for row in plane] for plane in g.action]
+                act[x][ga][a] = v
+                bad = GammaHemiring("bad", g.S, g.Gamma, tuple(tuple(map(tuple, p)) for p in act))
+                want = all_maps_post_check(bad, side)
+                try:
+                    build_operator(bad, side)
+                    got = None
+                except StructureError as err:
+                    got = str(err)
+                assert got == want, (x, ga, a, v)
+                verdicts.add(got is None)
+        assert False in verdicts
 
     def test_provenance_realizes_each_map(self, all_corpus):
         for g in all_corpus:
