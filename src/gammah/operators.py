@@ -18,7 +18,9 @@ from .core import (
     GammaHemiring,
     Hemiring,
     StructureError,
+    _additive_on_generators,
     _cap,
+    monoid_generators,
     validate_monoid,
 )
 
@@ -76,14 +78,13 @@ def realize(g: GammaHemiring, f: FormalSum) -> ActionMap:
         x, ga = (first, second) if f.side == LEFT else (second, first)
         if not (0 <= x < ns and 0 <= ga < ng):
             raise ValueError(f"term {t} out of range")
-    table = []
-    for a in range(ns):
-        if f.side == LEFT:
-            total = g.S.add_all(act[x][ga][a] for x, ga in f.terms)
-        else:
-            total = g.S.add_all(act[a][ga][x] for ga, x in f.terms)
-        table.append(total)
-    return ActionMap(tuple(table))
+    # Sums the terms' rows (left) or columns (right) pointwise, from zero.
+    add = g.S.add
+    table = (g.S.zero,) * ns
+    for first, second in f.terms:
+        term = act[first][second] if f.side == LEFT else [plane[first][second] for plane in act]
+        table = tuple(add[u][v] for u, v in zip(table, term))
+    return ActionMap(table)
 
 
 def formal_product(g: GammaHemiring, f1: FormalSum, f2: FormalSum) -> FormalSum:
@@ -143,13 +144,23 @@ def _compose(side: str, m1: ActionMap, m2: ActionMap) -> ActionMap:
 def build_operator(g: GammaHemiring, side: str) -> OperatorHemiring:
     """Breadth-first closure of the generator maps under + and composition.
 
-    Maps are deduplicated by table equality; each map keeps the first formal
-    sum that produced it.  The closure is semi-naive: a round pairs only the
-    maps found since the previous round with all maps, because a pair of
-    older maps was tabled in an earlier round and admits nothing new.  The
-    rounds visit the remaining pairs in the order a full rescan would, so
-    discovery order, labels and provenance are those of the full rescan, and
-    each pair's result is its cell of the `add` and `mul` tables.
+    Maps are deduplicated by their key, the tuple of their values on S's
+    additive generators (`core.monoid_generators`); each map keeps the first
+    formal sum that produced it.  Every map of the closure is additive and
+    fixes zero (proved below), and such a map is determined by its values on
+    the generators (the lemma in `monoid_generators`), so two maps share a
+    key exactly when they share a table.  A sum's key is the pointwise sum
+    of its summands' keys, and its table is built only when that key is
+    new.  A product is formed by `_compose` and looked up by the key read
+    off its table.  The generators themselves are told apart by their
+    tables, since they are checked for additivity only once all are in.
+
+    The closure is semi-naive: a round pairs only the maps found since the
+    previous round with all maps, because a pair of older maps was tabled in
+    an earlier round and admits nothing new.  The rounds visit the remaining
+    pairs in the order a full rescan would, so discovery order, labels and
+    provenance are those of the full rescan, and each pair's result is its
+    cell of the `add` and `mul` tables.
 
     The result is a hemiring without a check of its tables.  S is validated
     as a commutative monoid up front, and each generator map is checked to
@@ -164,8 +175,9 @@ def build_operator(g: GammaHemiring, side: str) -> OperatorHemiring:
     from S; composition is associative; (f+g).h = f.h + g.h holds pointwise;
     f.(g+h) = f.g + f.h and f.0 = 0 hold because f is additive and fixes
     zero; 0.f = 0 always holds.  The reversed composition of the right side
-    satisfies the same laws.  The closure is closed under both operations
-    and holds the zero map, so it is a hemiring too.
+    satisfies the same laws.  The closure is closed under both operations,
+    so it is a hemiring too once it holds the zero map; a closure in which
+    no map vanishes raises StructureError.
     """
     if side not in (LEFT, RIGHT):
         raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}")
@@ -174,32 +186,48 @@ def build_operator(g: GammaHemiring, side: str) -> OperatorHemiring:
     rep = validate_monoid(s)
     if not rep.valid:
         raise StructureError(f"carrier S is not a commutative monoid: {rep.violations[0][0]}", rep)
+    sadd = s.add
     maps: list[ActionMap] = []
+    keys: list[tuple[int, ...]] = []
     prov: list[FormalSum] = []
     index: dict[tuple[int, ...], int] = {}
 
-    def admit(m: ActionMap, provenance) -> int:
-        k = index.get(m.table)
-        if k is None:
-            if len(maps) >= limit:
-                raise CapacityError(f"operator closure exceeded cap {limit} maps")
-            k = index[m.table] = len(maps)
-            maps.append(m)
-            prov.append(provenance())
+    def new(key: tuple[int, ...], m: ActionMap, provenance: FormalSum) -> int:
+        if len(maps) >= limit:
+            raise CapacityError(f"operator closure exceeded cap {limit} maps")
+        k = index[key] = len(maps)
+        maps.append(m)
+        keys.append(key)
+        prov.append(provenance)
         return k
 
+    # The generator maps are not yet known to be additive, so they are told
+    # apart by their whole tables.
     def generator(x: int, ga: int) -> int:
         f = FormalSum(side, ((x, ga) if side == LEFT else (ga, x),))
-        return admit(realize(g, f), lambda: f)
+        m = realize(g, f)
+        k = index.get(m.table)
+        return new(m.table, m, f) if k is None else k
 
     embed = tuple(tuple(generator(x, ga) for ga in range(g.Gamma.n)) for x in range(s.n))
+    # Only a map that fails the generator check is scanned pair by pair, for
+    # the first (a, b) it breaks.
+    gens = monoid_generators(s)
     for k, m in enumerate(maps):
-        if m.table[s.zero] != s.zero:
+        t = m.table
+        if t[s.zero] != s.zero:
             raise StructureError(f"map op{k} does not fix zero")
+        if _additive_on_generators(t, sadd, gens):
+            continue
         for a in range(s.n):
             for b in range(s.n):
-                if m.table[s.add[a][b]] != s.add[m.table[a]][m.table[b]]:
+                if t[sadd[a][b]] != sadd[t[a]][t[b]]:
                     raise StructureError(f"map op{k} is not additive at ({a},{b})")
+
+    # From here on every map is additive and fixes zero, so its values on
+    # S's generators are its key.
+    keys[:] = [tuple(m.table[x] for x in gens) for m in maps]
+    index = {key: k for k, key in enumerate(keys)}
 
     # add_rows[i] and mul_rows[i] hold the tabled results of map i with maps
     # 0..len-1; a round extends every row to the maps that existed when it
@@ -213,19 +241,26 @@ def build_operator(g: GammaHemiring, side: str) -> OperatorHemiring:
             add_rows.append([])
             mul_rows.append([])
         for i in range(size):
-            add_row, mul_row = add_rows[i], mul_rows[i]
+            add_row, mul_row, map_i, key_i = add_rows[i], mul_rows[i], maps[i], keys[i]
             for j in range(len(mul_row), size):
                 if i <= j:
-                    add_row.append(admit(
-                        _pointwise_add(s, maps[i], maps[j]), lambda: prov[i] + prov[j]
-                    ))
+                    key = tuple(sadd[u][v] for u, v in zip(key_i, keys[j]))
+                    k = index.get(key)
+                    if k is None:
+                        k = new(key, _pointwise_add(s, map_i, maps[j]), prov[i] + prov[j])
+                    add_row.append(k)
                 else:
                     add_row.append(add_rows[j][i])
-                mul_row.append(admit(
-                    _compose(side, maps[i], maps[j]), lambda: formal_product(g, prov[i], prov[j])
-                ))
+                m = _compose(side, map_i, maps[j])
+                key = tuple(m.table[x] for x in gens)
+                k = index.get(key)
+                if k is None:
+                    k = new(key, m, formal_product(g, prov[i], prov[j]))
+                mul_row.append(k)
 
-    zero = index[tuple(s.zero for _ in range(s.n))]
+    zero = index.get((s.zero,) * len(gens))
+    if zero is None:
+        raise StructureError(f"the {side} closure holds no zero map")
     return OperatorHemiring(
         tuple(f"op{k}" for k in range(len(maps))), zero,
         tuple(map(tuple, add_rows)), tuple(map(tuple, mul_rows)),

@@ -426,12 +426,14 @@ def direct_filter(
     return sorted(out)
 
 
-def full_rescan_operator(g: GammaHemiring, side: str):
+def full_rescan_operator(g: GammaHemiring, side: str, orientation: str | None = None):
     """The operator closure by rescanning every pair of maps until nothing new
     appears, with both tables recomputed from the final maps.
 
     Returns (map tables, provenance, add, mul, zero) in discovery order, each
-    map with the first formal sum that produced it.
+    map with the first formal sum that produced it.  Maps compose as on
+    `orientation`'s side, by default `side` itself: (f.g)(a) = f(g(a)) for
+    left, g(f(a)) for right.
     """
     from gammah.operators import FormalSum, formal_product, realize
 
@@ -444,7 +446,7 @@ def full_rescan_operator(g: GammaHemiring, side: str):
         return tuple(add[a][b] for a, b in zip(t1, t2))
 
     def times(t1, t2):
-        return tuple(t1[v] for v in t2) if side == "left" else tuple(t2[v] for v in t1)
+        return tuple(t1[v] for v in t2) if (orientation or side) == "left" else tuple(t2[v] for v in t1)
 
     def admit(table, f):
         if table not in index:
@@ -472,6 +474,18 @@ def full_rescan_operator(g: GammaHemiring, side: str):
     mul_table = tuple(tuple(index[times(maps[i], maps[j])] for j in range(n)) for i in range(n))
     zero = index[tuple(g.S.zero for _ in range(g.S.n))]
     return maps, prov, add_table, mul_table, zero
+
+
+def spanned_submonoid(mon, gens) -> set[int]:
+    """The elements that are sums of `gens` (zero the empty sum), by adding
+    every generator to every element found until nothing new appears."""
+    found = {mon.zero}
+    grown = True
+    while grown:
+        size = len(found)
+        found |= {mon.add[a][x] for a in found for x in gens}
+        grown = len(found) != size
+    return found
 
 
 def all_maps_post_check(g: GammaHemiring, side: str) -> str | None:

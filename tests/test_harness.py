@@ -51,7 +51,7 @@ from oracles import (
 )
 from test_acceptance import corrupted_same_sum_rows
 from test_ideals import nil_cube
-from test_operators import UNITY_STRUCTURES
+from test_operators import COMPOSE_FLIPS, UNITY_STRUCTURES, _flipped_compose
 
 GRID = ("0", "1/2", "1")
 
@@ -335,21 +335,6 @@ MUL_LAW_STRUCTURES = {
     "Mat(B,2x2)": lambda: matrix_gamma_hemiring(corpus.boolean_hemiring(), 2, 2),
     "Mat(Z2,1x2)": lambda: matrix_gamma_hemiring(corpus.zmod_hemiring(2), 1, 2),
 }
-
-# The sides whose composition is flipped: honest, left, right and both.
-COMPOSE_FLIPS = ((), ("left",), ("right",), ("left", "right"))
-
-
-def _flipped_compose(sides):
-    original = gammah.operators._compose
-
-    def corrupted(side, m1, m2):
-        if side in sides:
-            side = "right" if side == "left" else "left"
-        return original(side, m1, m2)
-
-    return corrupted
-
 
 class TestMulLawTables:
     """S2-mul-law reads generator products from build_operator's embed; the

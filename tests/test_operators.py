@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import gammah.operators
 from gammah import corpus, hemiring_product_structure
 from gammah.core import (
     CapacityError,
@@ -11,6 +12,7 @@ from gammah.core import (
     StructureError,
     matrix_gamma_hemiring,
     product,
+    product_monoid,
     validate_hemiring,
 )
 from gammah.correspondence import build_context
@@ -49,6 +51,29 @@ UNITY_STRUCTURES = [
     product(corpus.boolean(), corpus.boolean()),
     matrix_gamma_hemiring(corpus.boolean_hemiring(), 2, 2),
 ]
+
+
+# The sides whose composition is flipped: honest, left, right and both.
+COMPOSE_FLIPS = ((), ("left",), ("right",), ("left", "right"))
+
+
+def _flipped_compose(sides):
+    original = gammah.operators._compose
+
+    def corrupted(side, m1, m2):
+        if side in sides:
+            side = "right" if side == "left" else "left"
+        return original(side, m1, m2)
+
+    return corrupted
+
+
+# Closures whose S has one generator (Z24), three (UT2(Z2)) and four (Mat(B,2x2)).
+KEYED_CLOSURES = {
+    "Z24": lambda: corpus.zmod(24),
+    "UT2(Z2)": corpus.upper_triangular,
+    "Mat(B,2x2)": lambda: matrix_gamma_hemiring(corpus.boolean_hemiring(), 2, 2),
+}
 
 
 class TestRealize:
@@ -166,6 +191,29 @@ class TestBuildOperator:
             assert list(op.provenance) == prov, (g.name, side)
             assert (op.add, op.mul, op.zero) == (add, mul, zero), (g.name, side)
 
+    @pytest.mark.parametrize("flip", COMPOSE_FLIPS, ids=lambda f: "+".join(f) or "honest")
+    @pytest.mark.parametrize("name", sorted(KEYED_CLOSURES))
+    def test_keyed_closure_matches_full_rescan(self, monkeypatch, name, flip):
+        # The closure keys maps by their values on S's generators; it must
+        # give the full rescan's maps and tables under any composition.
+        monkeypatch.setattr(gammah.operators, "_compose", _flipped_compose(flip))
+        g = KEYED_CLOSURES[name]()
+        for side in ("left", "right"):
+            orientation = ("right" if side == "left" else "left") if side in flip else side
+            op = build_operator(g, side)
+            maps, prov, add, mul, zero = full_rescan_operator(g, side, orientation)
+            assert [m.table for m in op.maps] == maps, side
+            assert list(op.provenance) == prov, side
+            assert (op.add, op.mul, op.zero) == (add, mul, zero), side
+
+    def test_closure_without_zero_map_rejected(self, boolean):
+        # On B with x g a = a for all x and g, every left generator map is the
+        # identity, and id + id = id . id = id: no sum or product is zero.
+        ident = ((0, 1), (0, 1))
+        g = GammaHemiring("B-ident", boolean.S, boolean.Gamma, (ident, ident))
+        with pytest.raises(StructureError, match="no zero map"):
+            build_operator(g, "left")
+
     def test_noncommutative_carrier_rejected(self):
         # S = {0, a, b} with x + y = x for nonzero x, y; the left maps are the
         # identity and the swap of a and b, which add differently in each order.
@@ -207,6 +255,23 @@ class TestBuildOperator:
                 assert got == want, (x, ga, a, v)
                 verdicts.add(got is None)
         assert False in verdicts
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_additivity_read_at_every_generator(self, side):
+        # S = Z3xZ3, whose generators are (0,1) and (1,0).  The generator
+        # [(0,1), 1] sends a to (0, s(a1)) with s = (0, 1, 1): additive at
+        # (0,1), which leaves a1 alone, but not at (1,0).
+        z3 = corpus.zmod(3).S
+        mon = product_monoid(z3, z3)
+        bent = tuple((0, 1, 1)[a // 3] for a in range(9))
+        zero = (0,) * 9
+        action = tuple((zero, bent if x == 1 else zero) for x in range(9))
+        g = GammaHemiring("bent", mon, corpus.zmod(2).S, action)
+        want = all_maps_post_check(g, side)
+        assert want and "not additive" in want
+        with pytest.raises(StructureError) as err:
+            build_operator(g, side)
+        assert str(err.value) == want
 
     def test_provenance_realizes_each_map(self, all_corpus):
         for g in all_corpus:
